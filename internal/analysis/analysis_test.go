@@ -134,11 +134,10 @@ func TestTCPLatency(t *testing.T) {
 
 func mkRound(t *testing.T, k int, t2, t3 int64, arr, dep []int64) *Round {
 	t.Helper()
-	r := &Round{Seq: 1, Contribs: make(map[int]collect.TraceTuple), wantK: k}
-	r.Collective = collect.TraceTuple{Seq: 1, Start: t2, End: t3}
-	r.haveColl = true
+	r := NewRound(1, k)
+	r.SetCollective(collect.TraceTuple{Seq: 1, Start: t2, End: t3})
 	for i := 0; i < k; i++ {
-		r.Contribs[i] = collect.TraceTuple{Seq: 1, Start: arr[i], End: dep[i]}
+		r.SetContributor(i, collect.TraceTuple{Seq: 1, Start: arr[i], End: dep[i]})
 	}
 	return r
 }
@@ -183,7 +182,7 @@ func TestAnalyzeRoundMetrics(t *testing.T) {
 }
 
 func TestAnalyzeRoundIncomplete(t *testing.T) {
-	r := &Round{Seq: 1, Contribs: map[int]collect.TraceTuple{}, wantK: 2}
+	r := NewRound(1, 2)
 	if _, err := AnalyzeRound(r); err == nil {
 		t.Fatal("incomplete round analyzed")
 	}
@@ -261,8 +260,8 @@ func TestJoinerValidation(t *testing.T) {
 		t.Fatal("nil emit accepted")
 	}
 	j, err := NewJoiner(2, 0, func(RoundMetrics) {})
-	if err != nil || j.maxPending != 64 {
-		t.Fatalf("maxPending default: %d %v", j.maxPending, err)
+	if err != nil || j.rounds.MaxPending() != 64 {
+		t.Fatalf("maxPending default: %d %v", j.rounds.MaxPending(), err)
 	}
 }
 

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"eventspace/internal/collect"
@@ -16,21 +15,6 @@ import (
 func TCPLatency(client, server collect.TraceTuple) time.Duration {
 	return time.Duration((client.End - client.Start) - (server.End - server.Start))
 }
-
-// Round is one completed collective operation: the collective wrapper's
-// tuple (t2 = Start, t3 = End) plus each contributor's tuple
-// (t1_i = Start, t4_i = End), joined on the operation sequence number.
-type Round struct {
-	Seq        uint32
-	Collective collect.TraceTuple
-	Contribs   map[int]collect.TraceTuple
-	wantK      int
-	haveColl   bool
-}
-
-// Complete reports whether all contributor tuples and the collective
-// tuple have arrived.
-func (r *Round) Complete() bool { return r.haveColl && len(r.Contribs) == r.wantK }
 
 // ContributorMetrics are the section 3 per-contributor figures for one
 // collective round.
@@ -48,70 +32,51 @@ type ContributorMetrics struct {
 // RoundMetrics is the full analysis of one collective round.
 type RoundMetrics struct {
 	Seq         uint32
-	Per         []ContributorMetrics // one per contributor, indexed by rank order of contributor id
+	Per         []ContributorMetrics // one per contributor, indexed by contributor id
 	LastArrival int                  // contributor that arrived last
 	FirstDepart int                  // contributor that departed first
 }
 
 // AnalyzeRound computes the section 3 metrics for a complete round.
+// Arrivals rank by t1 and departures by t4, ties broken on contributor
+// id for determinism; each rank is counted straight off the dense slots,
+// so Per is the only allocation.
 func AnalyzeRound(r *Round) (RoundMetrics, error) {
 	if !r.Complete() {
 		return RoundMetrics{}, fmt.Errorf("analysis: round %d incomplete (%d/%d contributors, collective=%v)",
-			r.Seq, len(r.Contribs), r.wantK, r.haveColl)
+			r.Seq, r.n, len(r.contribs), r.haveColl)
 	}
-	ids := make([]int, 0, len(r.Contribs))
-	for id := range r.Contribs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-
+	cs := r.contribs
 	t2 := r.Collective.Start
 	t3 := r.Collective.End
-
-	// Rank arrivals by t1 and departures by t4; ties break on id for
-	// determinism.
-	byArrival := append([]int(nil), ids...)
-	sort.Slice(byArrival, func(a, b int) bool {
-		ta, tb := r.Contribs[byArrival[a]].Start, r.Contribs[byArrival[b]].Start
-		if ta != tb {
-			return ta < tb
+	out := RoundMetrics{Seq: r.Seq, Per: make([]ContributorMetrics, len(cs))}
+	for i, c := range cs {
+		p := &out.Per[i]
+		p.Contributor = i
+		for j, o := range cs {
+			if o.Start < c.Start || (o.Start == c.Start && j < i) {
+				p.ArrivalRank++
+			}
+			if o.End < c.End || (o.End == c.End && j < i) {
+				p.DepartureRank++
+			}
 		}
-		return byArrival[a] < byArrival[b]
-	})
-	byDeparture := append([]int(nil), ids...)
-	sort.Slice(byDeparture, func(a, b int) bool {
-		ta, tb := r.Contribs[byDeparture[a]].End, r.Contribs[byDeparture[b]].End
-		if ta != tb {
-			return ta < tb
+		if p.ArrivalRank == len(cs)-1 {
+			out.LastArrival = i
 		}
-		return byDeparture[a] < byDeparture[b]
-	})
-	arrivalRank := make(map[int]int, len(ids))
-	departureRank := make(map[int]int, len(ids))
-	for rank, id := range byArrival {
-		arrivalRank[id] = rank
+		if p.DepartureRank == 0 {
+			out.FirstDepart = i
+		}
 	}
-	for rank, id := range byDeparture {
-		departureRank[id] = rank
-	}
-	last := byArrival[len(byArrival)-1]
-	first := byDeparture[0]
-	t1Last := r.Contribs[last].Start
-	t4First := r.Contribs[first].End
-
-	out := RoundMetrics{Seq: r.Seq, LastArrival: last, FirstDepart: first}
-	for _, id := range ids {
-		c := r.Contribs[id]
-		out.Per = append(out.Per, ContributorMetrics{
-			Contributor:   id,
-			Down:          time.Duration(t2 - c.Start),
-			Up:            time.Duration(c.End - t3),
-			Total:         time.Duration((c.End - c.Start) - (t3 - t2)),
-			ArrivalRank:   arrivalRank[id],
-			DepartureRank: departureRank[id],
-			ArrivalWait:   time.Duration(t1Last - c.Start),
-			DepartureWait: time.Duration(c.End - t4First),
-		})
+	t1Last := cs[out.LastArrival].Start
+	t4First := cs[out.FirstDepart].End
+	for i, c := range cs {
+		p := &out.Per[i]
+		p.Down = time.Duration(t2 - c.Start)
+		p.Up = time.Duration(c.End - t3)
+		p.Total = time.Duration((c.End - c.Start) - (t3 - t2))
+		p.ArrivalWait = time.Duration(t1Last - c.Start)
+		p.DepartureWait = time.Duration(c.End - t4First)
 	}
 	return out, nil
 }
@@ -122,12 +87,8 @@ func AnalyzeRound(r *Round) (RoundMetrics, error) {
 // complete; the joiner keeps at most maxPending partial rounds and evicts
 // the oldest, counting them as lost.
 type Joiner struct {
-	k          int
-	maxPending int
-	pending    map[uint32]*Round
-	order      []uint32 // insertion order for eviction
-	emit       func(RoundMetrics)
-	lost       uint64
+	rounds *PendingRounds
+	emit   func(RoundMetrics)
 }
 
 // NewJoiner creates a joiner for a k-contributor collective. emit is
@@ -136,55 +97,33 @@ func NewJoiner(k, maxPending int, emit func(RoundMetrics)) (*Joiner, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("analysis: joiner: k %d < 1", k)
 	}
-	if maxPending < 1 {
-		maxPending = 64
-	}
 	if emit == nil {
 		return nil, fmt.Errorf("analysis: joiner: nil emit")
 	}
-	return &Joiner{k: k, maxPending: maxPending, pending: make(map[uint32]*Round), emit: emit}, nil
+	return &Joiner{rounds: NewPendingRounds(k, maxPending), emit: emit}, nil
 }
 
 // Lost reports how many partial rounds were evicted.
-func (j *Joiner) Lost() uint64 { return j.lost }
+func (j *Joiner) Lost() uint64 { return j.rounds.Lost() }
 
 // Pending reports how many partial rounds are buffered.
-func (j *Joiner) Pending() int { return len(j.pending) }
-
-func (j *Joiner) round(seq uint32) *Round {
-	r, ok := j.pending[seq]
-	if !ok {
-		r = &Round{Seq: seq, Contribs: make(map[int]collect.TraceTuple, j.k), wantK: j.k}
-		j.pending[seq] = r
-		j.order = append(j.order, seq)
-		if len(j.pending) > j.maxPending {
-			// Evict the oldest still-pending round.
-			for len(j.order) > 0 {
-				old := j.order[0]
-				j.order = j.order[1:]
-				if _, ok := j.pending[old]; ok && old != seq {
-					delete(j.pending, old)
-					j.lost++
-					break
-				}
-			}
-		}
-	}
-	return r
-}
+func (j *Joiner) Pending() int { return j.rounds.Len() }
 
 // AddCollective feeds the collective wrapper's tuple for its round.
 func (j *Joiner) AddCollective(t collect.TraceTuple) {
-	r := j.round(t.Seq)
-	r.Collective = t
-	r.haveColl = true
+	r := j.rounds.Get(t.Seq)
+	r.SetCollective(t)
 	j.finish(r)
 }
 
-// AddContributor feeds contributor i's tuple for its round.
+// AddContributor feeds contributor i's tuple for its round. A tuple
+// from an i outside [0,k) is dropped.
 func (j *Joiner) AddContributor(i int, t collect.TraceTuple) {
-	r := j.round(t.Seq)
-	r.Contribs[i] = t
+	if i < 0 || i >= j.rounds.K() {
+		return
+	}
+	r := j.rounds.Get(t.Seq)
+	r.SetContributor(i, t)
 	j.finish(r)
 }
 
@@ -192,8 +131,9 @@ func (j *Joiner) finish(r *Round) {
 	if !r.Complete() {
 		return
 	}
-	delete(j.pending, r.Seq)
-	if m, err := AnalyzeRound(r); err == nil {
+	m, err := AnalyzeRound(r)
+	j.rounds.Done(r)
+	if err == nil {
 		j.emit(m)
 	}
 }

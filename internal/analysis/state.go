@@ -10,7 +10,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"eventspace/internal/collect"
 )
@@ -60,10 +59,8 @@ func NewStreamFrom(st StreamState) (*Stream, error) {
 	if uint64(len(st.Ring)) > st.N {
 		return nil, fmt.Errorf("analysis: stream state ring %d exceeds sample count %d", len(st.Ring), st.N)
 	}
-	s := &Stream{
-		n: st.N, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max,
-		window: window,
-	}
+	s := NewStream(window)
+	s.n, s.mean, s.m2, s.min, s.max = st.N, st.Mean, st.M2, st.Min, st.Max
 	// Oldest-first with head 0 reproduces the original eviction order:
 	// the next insertion after the window fills replaces index 0.
 	s.ring = append(s.ring, st.Ring...)
@@ -97,9 +94,8 @@ type RoundState struct {
 }
 
 // JoinerState is a Joiner's portable snapshot: configuration, loss
-// count, and the live partial rounds in insertion order. Stale
-// insertion-order entries (rounds since completed or evicted) are
-// compressed away, so the state is canonical.
+// count, and the live partial rounds in creation order. Rounds since
+// completed or evicted are left out, so the state is canonical.
 type JoinerState struct {
 	K          int
 	MaxPending int
@@ -109,53 +105,18 @@ type JoinerState struct {
 
 // State snapshots the joiner.
 func (j *Joiner) State() JoinerState {
-	st := JoinerState{K: j.k, MaxPending: j.maxPending, Lost: j.lost}
-	taken := make(map[uint32]bool, len(j.pending))
-	for _, seq := range j.order {
-		r, ok := j.pending[seq]
-		if !ok || taken[seq] {
-			continue
-		}
-		taken[seq] = true
-		rs := RoundState{Seq: r.Seq, Collective: r.Collective, HaveColl: r.haveColl}
-		ids := make([]int, 0, len(r.Contribs))
-		for id := range r.Contribs {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			rs.Contribs = append(rs.Contribs, ContribState{ID: int32(id), Tuple: r.Contribs[id]})
-		}
-		st.Pending = append(st.Pending, rs)
-	}
-	return st
+	b := j.rounds
+	return JoinerState{K: b.K(), MaxPending: b.MaxPending(), Lost: b.Lost(), Pending: b.State()}
 }
 
 // Restore overwrites the joiner's buffered state from a snapshot while
-// keeping its emit hook. The snapshot's k must match the joiner's.
+// keeping its emit hook. The snapshot's k must match the joiner's, and
+// every contributor id must lie in [0,k).
 func (j *Joiner) Restore(st JoinerState) error {
-	if st.K != j.k {
-		return fmt.Errorf("analysis: joiner state k=%d, joiner has k=%d", st.K, j.k)
+	if st.K != j.rounds.K() {
+		return fmt.Errorf("analysis: joiner state k=%d, joiner has k=%d", st.K, j.rounds.K())
 	}
-	if st.MaxPending >= 1 {
-		j.maxPending = st.MaxPending
-	}
-	j.lost = st.Lost
-	j.pending = make(map[uint32]*Round, len(st.Pending))
-	j.order = j.order[:0]
-	for _, rs := range st.Pending {
-		if len(rs.Contribs) > j.k {
-			return fmt.Errorf("analysis: joiner state round %d holds %d contributors, k=%d", rs.Seq, len(rs.Contribs), j.k)
-		}
-		r := &Round{Seq: rs.Seq, Collective: rs.Collective, haveColl: rs.HaveColl,
-			Contribs: make(map[int]collect.TraceTuple, j.k), wantK: j.k}
-		for _, c := range rs.Contribs {
-			r.Contribs[int(c.ID)] = c.Tuple
-		}
-		j.pending[rs.Seq] = r
-		j.order = append(j.order, rs.Seq)
-	}
-	return nil
+	return j.rounds.Restore(st.MaxPending, st.Lost, st.Pending)
 }
 
 // NewJoinerFrom rebuilds a joiner from a snapshot, emitting completed

@@ -9,7 +9,6 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // DefaultMedianWindow is the sliding-window size the paper uses for the
@@ -40,6 +39,8 @@ func NewStream(window int) *Stream {
 }
 
 // Add folds a sample into the statistics.
+//
+//lint:hotpath per-sample statistics update; gated by BenchmarkStreamAdd's zero-alloc check
 func (s *Stream) Add(x float64) {
 	s.n++
 	if s.n == 1 {
@@ -57,21 +58,56 @@ func (s *Stream) Add(x float64) {
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
 
-	// Sliding-window median bookkeeping: evict the oldest sample once
-	// the window is full, insert the new one keeping `sorted` ordered.
-	if len(s.ring) < s.window {
-		s.ring = append(s.ring, x)
-	} else {
-		old := s.ring[s.head]
-		s.ring[s.head] = x
-		s.head = (s.head + 1) % s.window
-		i := sort.SearchFloat64s(s.sorted, old)
-		s.sorted = append(s.sorted[:i], s.sorted[i+1:]...)
+	// Sliding-window median bookkeeping, keeping `sorted` ordered.
+	// While the window fills, insert x. Once it is full, x replaces the
+	// oldest sample: only the elements between the evicted sample's
+	// index and x's index move, by one slot.
+	if n := len(s.ring); n < s.window {
+		if cap(s.ring) < s.window {
+			// Sized on the first sample, so a stream that never sees
+			// one costs nothing.
+			//lint:allow hotalloc once per stream: sizes both slices to the window, which they never outgrow
+			s.ring, s.sorted = append(make([]float64, 0, s.window), s.ring...), append(make([]float64, 0, s.window), s.sorted...)
+		}
+		s.ring = s.ring[:n+1]
+		s.ring[n] = x
+		s.sorted = s.sorted[:n+1]
+		i := searchFloat64s(s.sorted[:n], x)
+		copy(s.sorted[i+1:], s.sorted[i:n])
+		s.sorted[i] = x
+		return
 	}
-	i := sort.SearchFloat64s(s.sorted, x)
-	s.sorted = append(s.sorted, 0)
-	copy(s.sorted[i+1:], s.sorted[i:])
-	s.sorted[i] = x
+	old := s.ring[s.head]
+	s.ring[s.head] = x
+	s.head++
+	if s.head == s.window {
+		s.head = 0
+	}
+	i := searchFloat64s(s.sorted, old)
+	j := searchFloat64s(s.sorted, x)
+	if j <= i {
+		copy(s.sorted[j+1:i+1], s.sorted[j:i])
+		s.sorted[j] = x
+	} else {
+		copy(s.sorted[i:j-1], s.sorted[i+1:j])
+		s.sorted[j-1] = x
+	}
+}
+
+// searchFloat64s returns the first index in the sorted slice a whose
+// element is >= x (len(a) if none), like sort.SearchFloat64s without
+// the closure call per probe.
+func searchFloat64s(a []float64, x float64) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Count returns the number of samples seen.

@@ -21,11 +21,7 @@ import (
 // The load-balance monitor does not need the collective tuple: the last
 // arrival is the contributor tuple with the largest down timestamp.
 type lbJoin struct {
-	k          int
-	maxPending int
-	pending    map[uint32]map[int]collect.TraceTuple
-	order      []uint32
-	lost       uint64
+	rounds *analysis.PendingRounds
 	// floor drops tuples of rounds already completed before a front-end
 	// failover: a replay-seeded join ignores Seq <= floor so re-read
 	// tuples cannot double-count a finished round. maxDone tracks the
@@ -34,47 +30,42 @@ type lbJoin struct {
 	maxDone uint32
 }
 
-func newLBJoin(k int) *lbJoin {
-	return &lbJoin{k: k, maxPending: 256, pending: make(map[uint32]map[int]collect.TraceTuple)}
+// lbMaxPending is the live joins' eviction bound.
+const lbMaxPending = 256
+
+func newLBJoin(k, maxPending int) *lbJoin {
+	return &lbJoin{rounds: analysis.NewPendingRounds(k, maxPending)}
 }
 
 // add feeds a contributor tuple; when the round completes it returns the
-// last-arriving contributor and true.
+// last-arriving contributor and true. A contributor outside [0,k) is
+// dropped.
+//
+//lint:hotpath per-tuple last-arrival join; gated by BenchmarkLBJoinAdd's zero-alloc check
 func (j *lbJoin) add(contributor int, t collect.TraceTuple) (int, bool) {
 	if j.floor > 0 && t.Seq <= j.floor {
 		return 0, false
 	}
-	m, ok := j.pending[t.Seq]
-	if !ok {
-		m = make(map[int]collect.TraceTuple, j.k)
-		j.pending[t.Seq] = m
-		j.order = append(j.order, t.Seq)
-		if len(j.pending) > j.maxPending {
-			for len(j.order) > 0 {
-				old := j.order[0]
-				j.order = j.order[1:]
-				if _, ok := j.pending[old]; ok && old != t.Seq {
-					delete(j.pending, old)
-					j.lost++
-					break
-				}
-			}
-		}
-	}
-	m[contributor] = t
-	if len(m) < j.k {
+	k := j.rounds.K()
+	if contributor < 0 || contributor >= k {
 		return 0, false
 	}
-	delete(j.pending, t.Seq)
+	r := j.rounds.Get(t.Seq)
+	r.SetContributor(contributor, t)
+	if r.Contributors() < k {
+		return 0, false
+	}
 	if t.Seq > j.maxDone {
 		j.maxDone = t.Seq
 	}
 	last, lastStart := -1, int64(-1)
-	for c, tu := range m {
+	for c := 0; c < k; c++ {
+		tu, _ := r.Contributor(c)
 		if tu.Start > lastStart || (tu.Start == lastStart && c > last) {
 			last, lastStart = c, tu.Start
 		}
 	}
+	j.rounds.Done(r)
 	return last, true
 }
 
@@ -286,7 +277,7 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 		if err != nil {
 			return err
 		}
-		join := newLBJoin(n.AR.Fanin())
+		join := newLBJoin(n.AR.Fanin(), lbMaxPending)
 		join.floor = lb.floors[n.Name]
 		perPort := len(readers)
 		cost := lb.cfg.AnalysisCostPerTuple
@@ -345,7 +336,7 @@ func (lb *LoadBalance) buildDistributed(tb *cluster.Testbed, spec *escope.Spec) 
 		}
 		st := &lbNodeState{
 			node:   n,
-			join:   newLBJoin(n.AR.Fanin()),
+			join:   newLBJoin(n.AR.Fanin(), lbMaxPending),
 			counts: make([]uint64, n.AR.Fanin()),
 		}
 		for _, ec := range n.ContribECs {

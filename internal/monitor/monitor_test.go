@@ -68,7 +68,7 @@ func runApp(t *testing.T, tree *cluster.Tree, rounds, slowPort int, delay time.D
 }
 
 func TestLBJoinFindsLastArrival(t *testing.T) {
-	j := newLBJoin(3)
+	j := newLBJoin(3, lbMaxPending)
 	if _, done := j.add(0, collect.TraceTuple{Seq: 0, Start: 10}); done {
 		t.Fatal("done with 1/3")
 	}
@@ -89,16 +89,15 @@ func TestLBJoinFindsLastArrival(t *testing.T) {
 }
 
 func TestLBJoinEvicts(t *testing.T) {
-	j := newLBJoin(2)
-	j.maxPending = 4
+	j := newLBJoin(2, 4)
 	for seq := uint32(0); seq < 20; seq++ {
 		j.add(0, collect.TraceTuple{Seq: seq})
 	}
-	if len(j.pending) > 4 {
-		t.Fatalf("pending = %d", len(j.pending))
+	if j.rounds.Len() > 4 {
+		t.Fatalf("pending = %d", j.rounds.Len())
 	}
-	if j.lost != 16 {
-		t.Fatalf("lost = %d", j.lost)
+	if j.rounds.Lost() != 16 {
+		t.Fatalf("lost = %d", j.rounds.Lost())
 	}
 }
 
@@ -226,6 +225,9 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A failed wait below must not leave the monitor's threads running
+	// into the next test; Stop is idempotent.
+	t.Cleanup(sm.Stop)
 	sm.Start()
 	const rounds = 50
 	runApp(t, tree, rounds, 1, 2*time.Millisecond)
@@ -234,14 +236,26 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 	}, "statsm analyzed too few rounds")
 	root := tree.Nodes[0]
 	rootID := root.CollectiveEC.ID()
+	c0 := root.ContribECs[0].ID()
+	linkID := tree.Links[0].ClientEC.ID()
+	wrapperKinds := []int{analysis.KindDown, analysis.KindUp, analysis.KindTotal, analysis.KindArrivalWait, analysis.KindDepartureWait}
+	// Wait for every record asserted below: the gathers may pull a
+	// publish batch half-written, so one kind arriving says nothing
+	// about the others.
 	waitFor(t, 10*time.Second, func() bool {
-		_, ok := sm.Tree().Get(rootID, analysis.KindTotal)
-		return ok
-	}, "no total-latency record reached the front-end")
+		for _, kind := range wrapperKinds {
+			if _, ok := sm.Tree().Get(rootID, kind); !ok {
+				return false
+			}
+		}
+		_, thread := sm.Tree().Get(c0, analysis.KindArrivalWait)
+		_, tcp := sm.Tree().Get(linkID, analysis.KindTCP)
+		return thread && tcp
+	}, "not every asserted record reached the front-end")
 	sm.Stop()
 	sm.Stop() // idempotent
 
-	for _, kind := range []int{analysis.KindDown, analysis.KindUp, analysis.KindTotal, analysis.KindArrivalWait, analysis.KindDepartureWait} {
+	for _, kind := range wrapperKinds {
 		rec, ok := sm.Tree().Get(rootID, kind)
 		if !ok {
 			t.Fatalf("no %s record for root", analysis.KindName(kind))
@@ -256,7 +270,6 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 		t.Fatalf("total mean = %v", tot.Mean)
 	}
 	// Per-thread records exist for the root's first contributor.
-	c0 := root.ContribECs[0].ID()
 	if _, ok := sm.Tree().Get(c0, analysis.KindArrivalWait); !ok {
 		t.Fatal("no per-thread arrival-wait record")
 	}
@@ -264,7 +277,6 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 	if sm.TCPSamples() == 0 {
 		t.Fatal("no TCP latency samples")
 	}
-	linkID := tree.Links[0].ClientEC.ID()
 	if rec, ok := sm.Tree().Get(linkID, analysis.KindTCP); !ok || rec.Count == 0 {
 		t.Fatal("no TCP stats record at the front-end")
 	}

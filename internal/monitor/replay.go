@@ -63,9 +63,7 @@ func NewLastArrivalReplay(ports map[uint32]ReplayPort) (*LastArrivalReplay, erro
 		}
 		r.ports[id] = p
 		if _, ok := r.joins[p.Node]; !ok {
-			j := newLBJoin(p.Fanin)
-			j.maxPending = replayMaxPending
-			r.joins[p.Node] = j
+			r.joins[p.Node] = newLBJoin(p.Fanin, replayMaxPending)
 		}
 	}
 	return r, nil
@@ -135,7 +133,7 @@ func (r *LastArrivalReplay) Fed() (fed, matched uint64) { return r.fed, r.matche
 func (r *LastArrivalReplay) Lost() uint64 {
 	var n uint64
 	for _, j := range r.joins {
-		n += j.lost
+		n += j.rounds.Lost()
 	}
 	return n
 }
@@ -240,14 +238,9 @@ func (r *StatsReplay) Tree() *AnalysisTree {
 		if st.rounds == 0 {
 			continue
 		}
-		for kind, str := range map[int]*analysis.Stream{
-			analysis.KindDown:          st.down,
-			analysis.KindUp:            st.up,
-			analysis.KindTotal:         st.total,
-			analysis.KindArrivalWait:   st.arrWait,
-			analysis.KindDepartureWait: st.depWait,
-		} {
-			at.Update(analysis.StatsRecordFrom(id, kind, str.Snapshot()))
+		streams := [...]*analysis.Stream{st.down, st.up, st.total, st.arrWait, st.depWait}
+		for i, kind := range wrapperKinds {
+			at.Update(analysis.StatsRecordFrom(id, kind, streams[i].Snapshot()))
 		}
 	}
 	return at

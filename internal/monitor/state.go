@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"eventspace/internal/analysis"
-	"eventspace/internal/collect"
 )
 
 // LBJoinRoundState is one partial load-balance round.
@@ -28,57 +27,34 @@ type LBJoinState struct {
 	Lost       uint64
 	Floor      uint32
 	MaxDone    uint32
-	Pending    []LBJoinRoundState // live rounds in insertion order
+	Pending    []LBJoinRoundState // live rounds in creation order
 }
 
-// state snapshots the join, compressing stale insertion-order entries.
+// state snapshots the join.
 func (j *lbJoin) state() LBJoinState {
-	st := LBJoinState{K: j.k, MaxPending: j.maxPending, Lost: j.lost, Floor: j.floor, MaxDone: j.maxDone}
-	taken := make(map[uint32]bool, len(j.pending))
-	for _, seq := range j.order {
-		m, ok := j.pending[seq]
-		if !ok || taken[seq] {
-			continue
-		}
-		taken[seq] = true
-		rs := LBJoinRoundState{Seq: seq}
-		ids := make([]int, 0, len(m))
-		for id := range m {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			rs.Contribs = append(rs.Contribs, analysis.ContribState{ID: int32(id), Tuple: m[id]})
-		}
-		st.Pending = append(st.Pending, rs)
+	b := j.rounds
+	st := LBJoinState{K: b.K(), MaxPending: b.MaxPending(), Lost: b.Lost(), Floor: j.floor, MaxDone: j.maxDone}
+	for _, rs := range b.State() {
+		st.Pending = append(st.Pending, LBJoinRoundState{Seq: rs.Seq, Contribs: rs.Contribs})
 	}
 	return st
 }
 
-// restore overwrites the join with the snapshotted state.
+// restore overwrites the join with the snapshotted state. A contributor
+// id outside [0,k) is an error.
 func (j *lbJoin) restore(st LBJoinState) error {
-	if st.K != j.k {
-		return fmt.Errorf("monitor: join state k=%d, join has k=%d", st.K, j.k)
+	if k := j.rounds.K(); st.K != k {
+		return fmt.Errorf("monitor: join state k=%d, join has k=%d", st.K, k)
 	}
-	if st.MaxPending >= 1 {
-		j.maxPending = st.MaxPending
+	rounds := make([]analysis.RoundState, len(st.Pending))
+	for i, rs := range st.Pending {
+		rounds[i] = analysis.RoundState{Seq: rs.Seq, Contribs: rs.Contribs}
 	}
-	j.lost = st.Lost
+	if err := j.rounds.Restore(st.MaxPending, st.Lost, rounds); err != nil {
+		return fmt.Errorf("monitor: join state: %w", err)
+	}
 	j.floor = st.Floor
 	j.maxDone = st.MaxDone
-	j.pending = make(map[uint32]map[int]collect.TraceTuple, len(st.Pending))
-	j.order = j.order[:0]
-	for _, rs := range st.Pending {
-		if len(rs.Contribs) > j.k {
-			return fmt.Errorf("monitor: join state round %d holds %d contributors, k=%d", rs.Seq, len(rs.Contribs), j.k)
-		}
-		m := make(map[int]collect.TraceTuple, j.k)
-		for _, c := range rs.Contribs {
-			m[int(c.ID)] = c.Tuple
-		}
-		j.pending[rs.Seq] = m
-		j.order = append(j.order, rs.Seq)
-	}
 	return nil
 }
 

@@ -79,7 +79,18 @@ type statsNode struct {
 	perThreadArr     []*analysis.Stream
 	perThreadDep     []*analysis.Stream
 	rounds           uint64
-	dirty            bool
+	// dirty marks wrapper statistics changed since they were last
+	// published; threadDirty does the same for the per-thread ones,
+	// which publish at half the rate and so must stay marked until
+	// their turn comes.
+	dirty, threadDirty bool
+}
+
+// wrapperKinds are the five per-node wrapper statistics, in the order
+// statsm publishes them and StatsReplay.Tree rebuilds them.
+var wrapperKinds = [...]int{
+	analysis.KindDown, analysis.KindUp, analysis.KindTotal,
+	analysis.KindArrivalWait, analysis.KindDepartureWait,
 }
 
 // statsLink carries one connection's TCP latency statistics. The local
@@ -177,7 +188,7 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 		}
 		st.joiner, err = analysis.NewJoiner(k, 256, func(m analysis.RoundMetrics) {
 			st.rounds++
-			st.dirty = true
+			st.dirty, st.threadDirty = true, true
 			for _, c := range m.Per {
 				st.down.Add(float64(c.Down) / float64(time.Microsecond))
 				st.up.Add(float64(c.Up) / float64(time.Microsecond))
@@ -390,26 +401,21 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 
 	// Publish result records for everything that changed.
 	for _, st := range sh.nodes {
-		if !st.dirty {
-			continue
-		}
-		st.dirty = false
-		id := st.node.CollectiveEC.ID()
-		for kind, str := range map[int]*analysis.Stream{
-			analysis.KindDown:          st.down,
-			analysis.KindUp:            st.up,
-			analysis.KindTotal:         st.total,
-			analysis.KindArrivalWait:   st.arrWait,
-			analysis.KindDepartureWait: st.depWait,
-		} {
-			rec := analysis.StatsRecordFrom(id, kind, str.Snapshot())
-			if _, err := sh.wrapperElem.Write(rec.Encode()); err != nil {
-				break
+		if st.dirty {
+			st.dirty = false
+			id := st.node.CollectiveEC.ID()
+			streams := [...]*analysis.Stream{st.down, st.up, st.total, st.arrWait, st.depWait}
+			for i, kind := range wrapperKinds {
+				rec := analysis.StatsRecordFrom(id, kind, streams[i].Snapshot())
+				if _, err := sh.wrapperElem.Write(rec.Encode()); err != nil {
+					break
+				}
 			}
 		}
 		// Per-thread statistics "are not always needed": publish them
 		// at half the wrapper-statistics rate.
-		if sh.batches%2 == 0 {
+		if st.threadDirty && sh.batches%2 == 0 {
+			st.threadDirty = false
 			for i := range st.perThreadArr {
 				ecID := st.node.ContribECs[i].ID()
 				ra := analysis.StatsRecordFrom(ecID, analysis.KindArrivalWait, st.perThreadArr[i].Snapshot())

@@ -6,18 +6,22 @@
 // packages it as a handoff a replacement monitor is seeded from
 // (monitor.NewLoadBalanceFrom / monitor.NewStatsmFrom).
 //
-// Two paths exist:
+// One replay routine does all of it: it starts the monitor shadows (and
+// the continuous-query engine) from a checkpoint, or fresh, and feeds
+// them all from a single archive scan behind the checkpoint's cursor.
+// Full replay is the empty-checkpoint rung of that routine: zero cursor,
+// fresh shadows, one scan of the whole archive.
 //
 //   - RebuildFrontEnd: full replay of a cleanly sealed archive — O(archive)
 //     recovery, the pre-checkpoint contract.
-//   - RecoverFrontEnd: the checkpointed fast path. It walks the sidecar
-//     checkpoint chain newest-first, restores the monitor shadows (and the
-//     continuous-query engine) from the first rung that validates, and
-//     replays only the archive suffix after the checkpoint's cursor —
-//     O(suffix) recovery. Every failure on a rung (torn frame, CRC
-//     mismatch, cursor drift after retention, port-roster mismatch) falls
-//     back to the next older rung and ultimately to full replay; damage
-//     degrades recovery time, never its result.
+//   - RecoverFrontEnd: the checkpoint ladder. It walks the sidecar
+//     checkpoint chain newest-first, restores the shadows from the first
+//     rung that validates, and replays only the archive suffix after the
+//     checkpoint's cursor — O(suffix) recovery. Every failure on a rung
+//     (torn frame, CRC mismatch, cursor drift after retention, port-roster
+//     mismatch, corrupt join state) falls back to the next older rung and
+//     ultimately to full replay; damage degrades recovery time, never its
+//     result.
 //
 // The determinism contract: the replay must lose no rounds (Lost() == 0).
 // Then the replacement's weighted tree continues exactly where the dead
@@ -85,11 +89,11 @@ type FailoverState struct {
 }
 
 // RebuildFrontEnd replays a sealed archive directory into a failover
-// handoff — the full-replay path. reg, when set, records the rebuild in
-// self-metrics (a KindReconfig op plus the reconfig.failovers counter);
-// nil disables. It fails when the archive's joins evicted rounds — a
-// lossy rebuild would silently double-count on resume, so it is refused
-// outright.
+// handoff — the full-replay path, one scan of the whole archive. reg,
+// when set, records the rebuild in self-metrics (a KindReconfig op plus
+// the reconfig.failovers counter); nil disables. It fails when the
+// archive's joins evicted rounds — a lossy rebuild would silently
+// double-count on resume, so it is refused outright.
 func RebuildFrontEnd(dir string, reg *metrics.Registry) (*FailoverState, error) {
 	start := hrtime.Now()
 	st, err := rebuildFrontEnd(dir, reg)
@@ -114,7 +118,7 @@ func rebuildFrontEnd(dir string, reg *metrics.Registry) (*FailoverState, error) 
 	if err != nil {
 		return nil, err
 	}
-	st, err := replayFull(r, infos, nil)
+	st, err := replay(r, infos, nil, nil)
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -169,7 +173,7 @@ func recoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 			fallbacks++
 			continue
 		}
-		st, err := replayFromCheckpoint(r, infos, cp, stmts)
+		st, err := replay(r, infos, &cp, stmts)
 		if err != nil {
 			fallbacks++
 			continue
@@ -182,7 +186,7 @@ func recoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 		finishRepair(st, r)
 		return st, nil
 	}
-	st, err := replayFull(r, infos, stmts)
+	st, err := replay(r, infos, nil, stmts)
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -194,64 +198,14 @@ func recoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 	return st, nil
 }
 
-// replayFull is the bottom rung: both shadows (and the engine, when
-// statements are supplied) replayed over the whole archive.
-func replayFull(r *archive.Reader, infos []archive.CollectorInfo, stmts []*query.Stmt) (*FailoverState, error) {
-	rep, scan, err := archive.ReplayLastArrival(r, infos, archive.Query{})
-	if err != nil {
-		return nil, err
-	}
-	if lost := rep.Lost(); lost > 0 {
-		return nil, fmt.Errorf("reconfig: failover: replay evicted %d rounds; the handoff would not be faithful", lost)
-	}
-	sr, _, err := archive.ReplayStats(r, infos, archive.Query{}, 0)
-	if err != nil {
-		return nil, err
-	}
-	fed, matched := rep.Fed()
-	st := &FailoverState{
-		Resume:          rep.Resume(),
-		Stats:           sr.Tree(),
-		RoundsRecovered: rep.Weighted().Total(),
-		TuplesFed:       fed,
-		TuplesMatched:   matched,
-		BytesReplayed:   scan.BytesScanned,
-		BytesSkipped:    scan.BytesSkipped,
-	}
-	if len(stmts) > 0 {
-		eng := query.NewEngine(nil)
-		// The coverage() roster must match the crashed recorder's, which
-		// was the archived collector set.
-		eng.SetExpected(len(infos))
-		for _, s := range stmts {
-			if err := eng.Register(s); err != nil {
-				return nil, err
-			}
-		}
-		var offerErr error
-		if _, err := r.Scan(archive.Query{}, func(t collect.TraceTuple) bool {
-			if err := eng.Offer(t); err != nil {
-				offerErr = err
-				return false
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		if offerErr != nil {
-			return nil, offerErr
-		}
-		es := eng.State()
-		st.Engine = &es
-	}
-	return st, nil
-}
-
-// replayFromCheckpoint is one ladder rung: restore every shadow from cp
-// and feed all three from a single suffix scan after cp.Cursor. Any
-// mismatch — roster drift, cursor invalidated by retention, torn data
-// before the cursor — errors, and the caller falls back a rung.
-func replayFromCheckpoint(r *archive.Reader, infos []archive.CollectorInfo, cp checkpoint.Checkpoint, stmts []*query.Stmt) (*FailoverState, error) {
+// replay is every rung of the ladder: start the last-arrival and
+// statistics shadows, and the query engine when statements are
+// supplied, from cp — or fresh when cp is nil — and feed all three from
+// one scan of the archive after cp's cursor (the whole archive when cp
+// is nil). Any mismatch — roster drift, corrupt join state, cursor
+// invalidated by retention, torn data before the cursor — errors, and
+// the caller falls back a rung.
+func replay(r *archive.Reader, infos []archive.CollectorInfo, cp *checkpoint.Checkpoint, stmts []*query.Stmt) (*FailoverState, error) {
 	laPorts, err := archive.LastArrivalPorts(infos)
 	if err != nil {
 		return nil, err
@@ -260,15 +214,23 @@ func replayFromCheckpoint(r *archive.Reader, infos []archive.CollectorInfo, cp c
 	if err != nil {
 		return nil, err
 	}
-	rep, err := monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
+	var rep *monitor.LastArrivalReplay
+	var sr *monitor.StatsReplay
+	if cp == nil {
+		rep, err = monitor.NewLastArrivalReplay(laPorts)
+		if err == nil {
+			sr, err = monitor.NewStatsReplay(stPorts, 0)
+		}
+	} else {
+		rep, err = monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
+		if err == nil {
+			sr, err = monitor.NewStatsReplayFrom(stPorts, cp.Stats)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	sr, err := monitor.NewStatsReplayFrom(stPorts, cp.Stats)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) > 0 && !cp.HasEngine {
+	if len(stmts) > 0 && cp != nil && !cp.HasEngine {
 		// The caller wants the engine recovered but this checkpoint never
 		// snapshotted one (it predates the statements). Fall back a rung
 		// rather than hand back a cold engine as if it were recovered.
@@ -282,12 +244,18 @@ func replayFromCheckpoint(r *archive.Reader, infos []archive.CollectorInfo, cp c
 				return nil, err
 			}
 		}
-		if err := eng.Restore(cp.Engine); err != nil {
-			return nil, err
+		if cp != nil {
+			if err := eng.Restore(cp.Engine); err != nil {
+				return nil, err
+			}
+		} else {
+			// The coverage() roster must match the crashed recorder's,
+			// which was the archived collector set.
+			eng.SetExpected(len(infos))
 		}
 	}
 	var offerErr error
-	scan, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(t collect.TraceTuple) bool {
+	feed := func(t collect.TraceTuple) bool {
 		rep.Feed(t)
 		sr.Feed(t)
 		if eng != nil {
@@ -297,7 +265,13 @@ func replayFromCheckpoint(r *archive.Reader, infos []archive.CollectorInfo, cp c
 			}
 		}
 		return true
-	})
+	}
+	var scan archive.ScanStats
+	if cp == nil {
+		scan, err = r.Scan(archive.Query{}, feed)
+	} else {
+		scan, err = r.ScanFrom(cp.Cursor, archive.Query{}, feed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +279,7 @@ func replayFromCheckpoint(r *archive.Reader, infos []archive.CollectorInfo, cp c
 		return nil, offerErr
 	}
 	if lost := rep.Lost(); lost > 0 {
-		return nil, fmt.Errorf("reconfig: recover: replay evicted %d rounds; the handoff would not be faithful", lost)
+		return nil, fmt.Errorf("reconfig: replay evicted %d rounds; the handoff would not be faithful", lost)
 	}
 	fed, matched := rep.Fed()
 	st := &FailoverState{

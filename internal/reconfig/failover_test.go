@@ -7,12 +7,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"eventspace/internal/analysis"
 	"eventspace/internal/archive"
 	"eventspace/internal/checkpoint"
 	"eventspace/internal/collect"
+	"eventspace/internal/metrics"
 	"eventspace/internal/monitor"
 	"eventspace/internal/paths"
 	"eventspace/internal/query"
@@ -77,7 +79,7 @@ var failoverAlerts = []string{
 	"alert when count() > 0 by ecid window 1us for 2 rounds",
 }
 
-func failoverStmts(t *testing.T) []*query.Stmt {
+func failoverStmts(t testing.TB) []*query.Stmt {
 	t.Helper()
 	stmts := make([]*query.Stmt, 0, len(failoverAlerts))
 	for _, src := range failoverAlerts {
@@ -94,7 +96,7 @@ func failoverStmts(t *testing.T) []*query.Stmt {
 // recorder sink chain — checkpointer in front of an optional query
 // engine in front of the writer — and leaves a pruned checkpoint chain
 // next to the sealed segments.
-func buildCheckpointedArchive(t *testing.T, dir string, format int, withEngine bool) {
+func buildCheckpointedArchive(t testing.TB, dir string, format int, withEngine bool) {
 	t.Helper()
 	w, err := archive.Create(archive.Options{Dir: dir, Format: format, SegmentBytes: 2000, BlockTuples: 16})
 	if err != nil {
@@ -397,4 +399,38 @@ func TestFailoverSurfacesRepairContext(t *testing.T) {
 		t.Fatalf("recover path dropped repair context: %+v", rc)
 	}
 	weightedEqual(t, rc.Resume.Weighted, st.Resume.Weighted)
+}
+
+// TestRebuildFrontEndScansOnce: full replay is the empty-checkpoint
+// rung, so it feeds both shadows and the engine from one archive scan.
+func TestRebuildFrontEndScansOnce(t *testing.T) {
+	dir := t.TempDir()
+	buildCheckpointedArchive(t, dir, archive.FormatColumnar, true)
+	reg := metrics.New()
+	if _, err := RebuildFrontEnd(dir, reg); err != nil {
+		t.Fatal(err)
+	}
+	var scans uint64
+	for _, op := range reg.Snapshot().ByKind(metrics.KindArchive) {
+		if strings.HasPrefix(op.Name, "archive-scan(") {
+			scans += op.Ops
+		}
+	}
+	if scans != 1 {
+		t.Fatalf("full replay scanned the archive %d times, want 1", scans)
+	}
+}
+
+// BenchmarkRebuildFrontEnd times one full replay of a checkpointed
+// columnar archive (60 rounds over two 3-contributor nodes).
+func BenchmarkRebuildFrontEnd(b *testing.B) {
+	dir := b.TempDir()
+	buildCheckpointedArchive(b, dir, archive.FormatColumnar, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RebuildFrontEnd(dir, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
