@@ -20,7 +20,8 @@ bench:
 
 # bench-archive builds the archive query CLI, runs the trace-archive
 # tests under the race detector, and records write/scan throughput in
-# BENCH_archive.json.
+# BENCH_archive.json. The run fails unless the dictionary-skipped
+# selective scan beats a full scan of the same archive by at least 4x.
 bench-archive:
 	$(GO) build -o /dev/null ./cmd/esquery
 	$(GO) test -race ./internal/archive/
@@ -45,8 +46,8 @@ bench-staleness:
 
 # bench-recovery runs the checkpoint and failover suites under the race
 # detector, then records recovery time and bytes replayed — checkpointed
-# fast path versus full replay, both segment formats, three archive
-# sizes — in BENCH_recovery.json. The run fails unless the fast path
+# fast path versus full replay, three archive sizes — in
+# BENCH_recovery.json. The run fails unless the fast path
 # replays at least 5x fewer bytes at the largest archive size.
 bench-recovery:
 	$(GO) test -race ./internal/checkpoint/ ./internal/reconfig/

@@ -252,12 +252,8 @@ func runInfo(args []string) error {
 		if s.Torn {
 			state += ",torn"
 		}
-		format := "row"
-		if s.Format == archive.FormatColumnar {
-			format = "columnar"
-		}
-		fmt.Printf("  seg %4d  %-11s %-8s %8d B  %6d tuples  %4d blocks  ecids [%d,%d]  stamps [%d,%d]\n",
-			s.ID, state, format, s.Bytes, s.Index.Tuples, s.Index.Blocks,
+		fmt.Printf("  seg %4d  %-11s %8d B  %6d tuples  %4d blocks  ecids [%d,%d]  stamps [%d,%d]\n",
+			s.ID, state, s.Bytes, s.Index.Tuples, s.Index.Blocks,
 			s.Index.MinECID, s.Index.MaxECID, s.Index.MinStamp, s.Index.MaxStamp)
 	}
 	if infos, err := archive.ReadMeta(r.Dir()); err == nil && len(infos) > 0 {

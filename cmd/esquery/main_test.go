@@ -133,33 +133,29 @@ func TestFilterModeOp(t *testing.T) {
 	}
 }
 
-// TestInfoShowsFormat checks that info labels each segment's block
-// codec, covering a directory that mixes both formats.
-func TestInfoShowsFormat(t *testing.T) {
+// TestInfoListsSegments checks that info lists every segment with its
+// state and tuple count, across a reopen that starts a second segment.
+func TestInfoListsSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := archive.Create(archive.Options{Dir: dir, Format: archive.FormatRow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]collect.TraceTuple{{ECID: 1, Op: paths.OpRead, Start: 1, End: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w, err = archive.Create(archive.Options{Dir: dir, Format: archive.FormatColumnar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]collect.TraceTuple{{ECID: 2, Op: paths.OpWrite, Start: 3, End: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	for i, tu := range []collect.TraceTuple{
+		{ECID: 1, Op: paths.OpRead, Start: 1, End: 2},
+		{ECID: 2, Op: paths.OpWrite, Start: 3, End: 4},
+	} {
+		w, err := archive.Create(archive.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append([]collect.TraceTuple{tu}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("close %d: %v", i, err)
+		}
 	}
 	out := capture(t, func() error { return runInfo([]string{"-dir", dir}) })
-	if !strings.Contains(out, "row") || !strings.Contains(out, "columnar") {
-		t.Errorf("info should label both segment formats:\n%s", out)
+	if !strings.Contains(out, "2 segments, 2 tuples") ||
+		strings.Count(out, "sealed") != 2 || strings.Count(out, "1 tuples") != 2 {
+		t.Errorf("info should list two sealed one-tuple segments:\n%s", out)
 	}
 }
 

@@ -235,7 +235,10 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
 // archive"). Record a run with System.AttachArchive, query it back with
 // OpenArchive, and replay it through the monitors' joins with
 // ReplayLastArrival / ReplayStats — or from the command line with
-// cmd/esquery.
+// cmd/esquery. Segments store blocks column by column with
+// dictionary/delta encodings and per-column CRCs, so scans decode only
+// the columns a query needs and skip blocks whose dictionaries cannot
+// match it.
 type (
 	// ArchiveOptions configures an archive writer (directory, segment
 	// size cap, retention cap, block size, self-metrics).
@@ -256,18 +259,6 @@ type (
 	LastArrivalReplay = monitor.LastArrivalReplay
 	// StatsReplay re-runs statsm's wrapper statistics offline.
 	StatsReplay = monitor.StatsReplay
-)
-
-// Archive segment formats for ArchiveOptions.Format. Readers accept
-// both per segment, so mixed-format directories stay fully queryable.
-const (
-	// ArchiveFormatRow stores blocks as rows of 28-byte tuples.
-	ArchiveFormatRow = archive.FormatRow
-	// ArchiveFormatColumnar (the default) stores blocks column by
-	// column with dictionary/delta encodings and per-column CRCs, so
-	// scans decode only the columns a query needs and skip blocks whose
-	// dictionaries cannot match it.
-	ArchiveFormatColumnar = archive.FormatColumnar
 )
 
 // Checkpointed crash recovery (see DESIGN.md "Checkpointed crash

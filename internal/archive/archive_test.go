@@ -1,9 +1,11 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"eventspace/internal/collect"
@@ -182,7 +184,8 @@ func TestTornTailReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := encodeBlock([]collect.TraceTuple{tuple(9, 999, 1, 2), tuple(9, 1000, 3, 4)})
+	var enc columnarEncoder
+	torn := enc.encodeBlock([]collect.TraceTuple{tuple(9, 999, 1, 2), tuple(9, 1000, 3, 4)})
 	if _, err := f.Write(torn[:len(torn)-5]); err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +210,98 @@ func TestTornTailReopen(t *testing.T) {
 	}
 	got, _ := selectAll(t, dir, Query{})
 	sameTuples(t, got, append(append([]collect.TraceTuple(nil), corpus...), more...))
+}
+
+// TestReopenRejectsUndecodableHeader pins what a crash cannot produce:
+// a full-length segment header that does not decode — a corrupt version
+// field, or a segment the retired version-1 row codec wrote — is not a
+// torn tail. Create must fail naming the file and leave its bytes
+// untouched, for the newest segment and for an older one alike, just as
+// OpenReader refuses the directory.
+func TestReopenRejectsUndecodableHeader(t *testing.T) {
+	// unsealedNewest writes 40 tuples and stops without Close, as a
+	// crash would: the newest segment keeps its provisional header.
+	unsealedNewest := func(t *testing.T, dir string) string {
+		w, err := Create(Options{Dir: dir, BlockTuples: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCorpus(t, w, 40, 2)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs[len(segs)-1].path
+	}
+	for _, tc := range []struct {
+		name string
+		// damage leaves the directory with one undecodable segment and
+		// returns its path.
+		damage func(t *testing.T, dir string) string
+	}{
+		{"bad-version", func(t *testing.T, dir string) string {
+			path := unsealedNewest(t, dir)
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[4] = 9
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}},
+		{"v1-newest", func(t *testing.T, dir string) string {
+			path := filepath.Join(dir, segmentFileName(1))
+			if err := os.WriteFile(path, v1Segment(1, []collect.TraceTuple{tuple(1, 0, 10, 20), tuple(2, 1, 30, 40)}), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}},
+		{"v1-older", func(t *testing.T, dir string) string {
+			path := filepath.Join(dir, segmentFileName(1))
+			if err := os.WriteFile(path, v1Segment(1, []collect.TraceTuple{tuple(1, 0, 10, 20)}), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// An intact sealed successor makes the v1 segment an older
+			// one, counted toward the cursor basis rather than continued.
+			succ := encodeHeader(segmentHeader{ID: 2, Sealed: true})
+			if err := os.WriteFile(filepath.Join(dir, segmentFileName(2)), succ, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := tc.damage(t, dir)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenReader(dir); err == nil {
+				t.Fatal("OpenReader accepted an undecodable segment header")
+			}
+			w, err := Create(Options{Dir: dir, BlockTuples: 8})
+			if err == nil {
+				w.Close()
+				t.Fatal("Create accepted an undecodable segment header")
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("Create error %q does not name %s", err, path)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatalf("Create rewrote %s: %d bytes before, %d after", path, len(before), len(after))
+			}
+		})
+	}
 }
 
 // TestTornTailLosesOnlyLastBlock pins the acceptance bound: a tear

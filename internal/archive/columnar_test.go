@@ -71,8 +71,8 @@ func TestColumnarBlockRoundTrip(t *testing.T) {
 }
 
 // TestColumnarCompression pins the point of the format: a realistic
-// trace corpus must occupy meaningfully fewer bytes per block than the
-// 28-byte row encoding.
+// trace corpus must occupy meaningfully fewer bytes per block than its
+// raw count × 28-byte tuple encoding.
 func TestColumnarCompression(t *testing.T) {
 	var tuples []collect.TraceTuple
 	for i := 0; i < 256; i++ {
@@ -80,74 +80,10 @@ func TestColumnarCompression(t *testing.T) {
 	}
 	var enc columnarEncoder
 	col := len(enc.encodeBlock(tuples))
-	row := len(encodeBlock(tuples))
-	if col*2 > row {
-		t.Fatalf("columnar block %d B vs row %d B: expected at least 2x smaller", col, row)
+	raw := len(tuples) * collect.TupleSize
+	if col*2 > raw {
+		t.Fatalf("columnar block %d B vs raw %d B: expected at least 2x smaller", col, raw)
 	}
-}
-
-// TestMixedFormatArchive covers a directory written under both formats:
-// a row-format writer's segments and a columnar writer's segments must
-// read back as one coherent archive, in order. The reopen also crosses
-// formats: the columnar writer finds the row writer's unsealed active
-// segment, seals it as-is, and continues in its own format.
-func TestMixedFormatArchive(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, SegmentBytes: 600, BlockTuples: 8, Format: FormatRow}
-	w, err := Create(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowCorpus := writeCorpus(t, w, 100, 4)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// No Close: the active segment stays unsealed, as after a crash.
-	opts.Format = FormatColumnar
-	w2, err := Create(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Stats().TuplesRecovered == 0 {
-		t.Fatal("cross-format reopen lost the unsealed row segment")
-	}
-	colCorpus := writeCorpus(t, w2, 100, 4)
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	formats := map[uint16]int{}
-	for _, s := range r.Segments() {
-		formats[s.Format]++
-	}
-	if formats[FormatRow] == 0 || formats[FormatColumnar] == 0 {
-		t.Fatalf("segment formats %v, want both row and columnar", formats)
-	}
-	got, stats, err := r.Select(Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTuples(t, got, append(append([]collect.TraceTuple(nil), rowCorpus...), colCorpus...))
-	if stats.TornSegments != 0 {
-		t.Fatalf("mixed-format read reported tears: %+v", stats)
-	}
-	// Filters behave identically across the boundary.
-	q := Query{ECIDs: []uint32{2}, Ops: []paths.OpKind{paths.OpRead}}
-	var want []collect.TraceTuple
-	for _, tu := range append(append([]collect.TraceTuple(nil), rowCorpus...), colCorpus...) {
-		if q.match(tu) {
-			want = append(want, tu)
-		}
-	}
-	got, _, err = r.Select(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTuples(t, got, want)
 }
 
 // TestColumnarTornTailReopen is the torn-tail contract under the
@@ -155,7 +91,7 @@ func TestMixedFormatArchive(t *testing.T) {
 // and reopen truncates and continues in the same segment.
 func TestColumnarTornTailReopen(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, BlockTuples: 8, Format: FormatColumnar}
+	opts := Options{Dir: dir, BlockTuples: 8}
 	w, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +139,7 @@ func TestColumnarTornTailReopen(t *testing.T) {
 // a tear, never as silently wrong tuples.
 func TestColumnarCorruptColumnIsTear(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(Options{Dir: dir, BlockTuples: 4, Format: FormatColumnar})
+	w, err := Create(Options{Dir: dir, BlockTuples: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +177,7 @@ func TestColumnarCorruptColumnIsTear(t *testing.T) {
 // only the blocks holding its collector.
 func TestColumnarBlockSkip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(Options{Dir: dir, BlockTuples: 8, Format: FormatColumnar})
+	w, err := Create(Options{Dir: dir, BlockTuples: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +218,5 @@ func TestColumnarBlockSkip(t *testing.T) {
 	}
 	if stats.TuplesScanned >= uint64(len(corpus)) {
 		t.Fatalf("ecid pushdown decoded the whole archive: %+v", stats)
-	}
-}
-
-// TestOptionsFormatValidation rejects unknown formats.
-func TestOptionsFormatValidation(t *testing.T) {
-	if _, err := Create(Options{Dir: t.TempDir(), Format: 7}); err == nil {
-		t.Fatal("unknown format accepted")
 	}
 }

@@ -15,7 +15,6 @@
 package archive
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 
@@ -36,28 +35,6 @@ type Cursor struct {
 	// SegTuples counts the tuples already persisted into that segment
 	// at capture.
 	SegTuples uint64
-}
-
-// frameBlock returns the tuple count and byte size of the block at the
-// start of rest without decoding its payload — the cursor fast path
-// skips covered blocks this way. ok=false is the torn-tail signature.
-func frameBlock(version uint16, rest []byte) (count uint64, size int64, ok bool) {
-	if version == segmentVersionCol {
-		f, ok := frameColumnarBlock(rest)
-		if !ok {
-			return 0, 0, false
-		}
-		return uint64(f.count), f.size, true
-	}
-	if len(rest) < blockHeaderSize {
-		return 0, 0, false
-	}
-	c := binary.LittleEndian.Uint32(rest[0:4])
-	if c == 0 || c > MaxBlockTuples ||
-		int64(c) > (int64(len(rest))-blockHeaderSize)/collect.TupleSize {
-		return 0, 0, false
-	}
-	return uint64(c), blockHeaderSize + int64(c)*collect.TupleSize, true
 }
 
 // ScanFrom streams every tuple archived after cur that matches q, in
@@ -129,8 +106,7 @@ func (r *Reader) ScanFrom(cur Cursor, q Query, fn func(collect.TraceTuple) bool)
 		}
 		bytes += len(buf)
 		stats.BytesScanned += uint64(len(buf))
-		h, err := decodeHeader(buf)
-		if err != nil {
+		if _, err := decodeHeader(buf); err != nil {
 			return stats, fmt.Errorf("archive: segment %s: %v", s.Path, err)
 		}
 		stats.SegmentsScanned++
@@ -139,22 +115,22 @@ func (r *Reader) ScanFrom(cur Cursor, q Query, fn func(collect.TraceTuple) bool)
 		// are sized but never decoded; the block straddling the cursor
 		// is decoded once and its covered head dropped.
 		for skip := covered; skip > 0; {
-			count, size, ok := frameBlock(h.Version, buf[off:])
+			f, ok := frameColumnarBlock(buf[off:])
 			if !ok {
 				return stats, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
 			}
-			if count <= skip {
+			if count := uint64(f.count); count <= skip {
 				skip -= count
-				off += size
+				off += f.size
 				stats.BlocksSkipped++
 				stats.TuplesSkipped += count
 				continue
 			}
-			batch, size, ok := decodeNextBlock(h.Version, buf[off:], &dec)
-			if !ok {
+			batch, err := dec.decodeColumnar(&f)
+			if err != nil {
 				return stats, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
 			}
-			off += size
+			off += f.size
 			stats.BlocksScanned++
 			stats.TuplesSkipped += skip
 			stats.TuplesScanned += uint64(len(batch)) - skip
@@ -169,7 +145,7 @@ func (r *Reader) ScanFrom(cur Cursor, q Query, fn func(collect.TraceTuple) bool)
 			}
 			skip = 0
 		}
-		if scanBlocks(buf, off, h.Version, &q, &dec, &stats, fn) {
+		if scanBlocks(buf, off, &q, &dec, &stats, fn) {
 			return stats, nil
 		}
 	}

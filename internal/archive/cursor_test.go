@@ -23,78 +23,74 @@ func captureCursor(t *testing.T, w *Writer, n, offset int) Cursor {
 	return w.Position()
 }
 
-// TestScanFromMatchesSuffix is the cursor contract on both formats:
+// TestScanFromMatchesSuffix is the cursor contract:
 // ScanFrom(cursor) streams exactly the tuples archived after the
 // cursor, identical to the tail of a full Scan, while reading none of
 // the covered segments.
 func TestScanFromMatchesSuffix(t *testing.T) {
-	for _, format := range []int{FormatRow, FormatColumnar} {
-		t.Run(formatName(format), func(t *testing.T) {
-			dir := t.TempDir()
-			opts := smallOpts(dir)
-			opts.Format = format
-			w, err := Create(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// 100 tuples before the cursor (several rotations at 600 B
-			// segments), 57 after, cursor mid-segment by construction.
-			cur := captureCursor(t, w, 100, 0)
-			captureCursor(t, w, 57, 100)
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if cur.Tuples != 100 {
-				t.Fatalf("cursor covers %d tuples, want 100", cur.Tuples)
-			}
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := Create(smallOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 100 tuples before the cursor (several rotations at 600 B
+		// segments), 57 after, cursor mid-segment by construction.
+		cur := captureCursor(t, w, 100, 0)
+		captureCursor(t, w, 57, 100)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if cur.Tuples != 100 {
+			t.Fatalf("cursor covers %d tuples, want 100", cur.Tuples)
+		}
 
-			r, err := OpenReader(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, _, err := r.Select(Query{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []collect.TraceTuple
-			stats, err := r.ScanFrom(cur, Query{}, func(t collect.TraceTuple) bool {
-				got = append(got, t)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameTuples(t, got, full[100:])
-			if stats.TuplesSkipped != 100 {
-				t.Fatalf("TuplesSkipped = %d, want 100", stats.TuplesSkipped)
-			}
-			if stats.SegmentsSkipped == 0 {
-				t.Fatal("no covered segment was skipped wholesale")
-			}
-			if stats.BytesSkipped == 0 {
-				t.Fatal("BytesSkipped = 0; covered segments were read")
-			}
-			if stats.BytesScanned >= uint64(totalBytes(r)) {
-				t.Fatalf("ScanFrom read the whole archive (%d of %d bytes)", stats.BytesScanned, totalBytes(r))
-			}
-
-			// Filters compose with the cursor.
-			var filtered []collect.TraceTuple
-			if _, err := r.ScanFrom(cur, Query{ECIDs: []uint32{2}}, func(t collect.TraceTuple) bool {
-				filtered = append(filtered, t)
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			var want []collect.TraceTuple
-			for _, tu := range full[100:] {
-				if tu.ECID == 2 {
-					want = append(want, tu)
-				}
-			}
-			sameTuples(t, filtered, want)
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := r.Select(Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []collect.TraceTuple
+		stats, err := r.ScanFrom(cur, Query{}, func(t collect.TraceTuple) bool {
+			got = append(got, t)
+			return true
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTuples(t, got, full[100:])
+		if stats.TuplesSkipped != 100 {
+			t.Fatalf("TuplesSkipped = %d, want 100", stats.TuplesSkipped)
+		}
+		if stats.SegmentsSkipped == 0 {
+			t.Fatal("no covered segment was skipped wholesale")
+		}
+		if stats.BytesSkipped == 0 {
+			t.Fatal("BytesSkipped = 0; covered segments were read")
+		}
+		if stats.BytesScanned >= uint64(totalBytes(r)) {
+			t.Fatalf("ScanFrom read the whole archive (%d of %d bytes)", stats.BytesScanned, totalBytes(r))
+		}
+
+		// Filters compose with the cursor.
+		var filtered []collect.TraceTuple
+		if _, err := r.ScanFrom(cur, Query{ECIDs: []uint32{2}}, func(t collect.TraceTuple) bool {
+			filtered = append(filtered, t)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want []collect.TraceTuple
+		for _, tu := range full[100:] {
+			if tu.ECID == 2 {
+				want = append(want, tu)
+			}
+		}
+		sameTuples(t, filtered, want)
+	})
 }
 
 func totalBytes(r *Reader) int64 {
@@ -240,7 +236,7 @@ func TestPositionCountsOnlyDurable(t *testing.T) {
 	}
 	// 3 tuples buffer below the 8-tuple block size: nothing durable.
 	for i := 0; i < 3; i++ {
-		if err := w.Append([]collect.TraceTuple{tuple(1, uint32(i), int64(i), int64(i + 1))}); err != nil {
+		if err := w.Append([]collect.TraceTuple{tuple(1, uint32(i), int64(i), int64(i+1))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 //
 //	off  size  field
 //	  0     4  magic "ESG1"
-//	  4     2  version (1: row blocks, 2: columnar blocks)
+//	  4     2  version (2: columnar blocks)
 //	  6     2  flags (bit 0: sealed)
 //	  8     4  segment id
 //	 12     4  min ECID        ┐
@@ -26,17 +26,13 @@ import (
 //	 48    12  reserved (zero)
 //	 60     4  CRC32(header[0:60])
 //
-// The version selects the block codec for the whole segment: version 1
-// segments hold row blocks (8-byte header + count × 28-byte tuples),
-// version 2 segments hold columnar blocks (see columnar.go). Readers
-// accept both, per segment, so archives written across a format change
-// stay queryable end to end.
+// Every segment holds columnar blocks (see columnar.go). The version
+// field is validated on open: anything but 2 — the retired version-1
+// row codec included — is rejected as unsupported.
 const (
 	segmentMagic      = 0x31475345 // "ESG1" little-endian
-	segmentVersionRow = 1
-	segmentVersionCol = 2
+	segmentVersion    = 2
 	segmentHeaderSize = 64
-	blockHeaderSize   = 8
 
 	flagSealed = 1 << 0
 )
@@ -79,20 +75,15 @@ func (x *SegmentIndex) add(t collect.TraceTuple) {
 
 // segmentHeader is the decoded form of a segment file's first 64 bytes.
 type segmentHeader struct {
-	ID      uint32
-	Version uint16 // block codec; 0 encodes as segmentVersionRow
-	Sealed  bool
-	Index   SegmentIndex
+	ID     uint32
+	Sealed bool
+	Index  SegmentIndex
 }
 
 func encodeHeader(h segmentHeader) []byte {
 	buf := make([]byte, segmentHeaderSize)
-	v := h.Version
-	if v == 0 {
-		v = segmentVersionRow
-	}
 	binary.LittleEndian.PutUint32(buf[0:4], segmentMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], v)
+	binary.LittleEndian.PutUint16(buf[4:6], segmentVersion)
 	var flags uint16
 	if h.Sealed {
 		flags |= flagSealed
@@ -117,16 +108,15 @@ func decodeHeader(buf []byte) (segmentHeader, error) {
 		return segmentHeader{}, fmt.Errorf("archive: bad segment magic %#x", m)
 	}
 	v := binary.LittleEndian.Uint16(buf[4:6])
-	if v != segmentVersionRow && v != segmentVersionCol {
+	if v != segmentVersion {
 		return segmentHeader{}, fmt.Errorf("archive: unsupported segment version %d", v)
 	}
 	if got, want := crc32.ChecksumIEEE(buf[:60]), binary.LittleEndian.Uint32(buf[60:64]); got != want {
 		return segmentHeader{}, fmt.Errorf("archive: segment header CRC mismatch (%#x != %#x)", got, want)
 	}
 	h := segmentHeader{
-		ID:      binary.LittleEndian.Uint32(buf[8:12]),
-		Version: v,
-		Sealed:  binary.LittleEndian.Uint16(buf[6:8])&flagSealed != 0,
+		ID:     binary.LittleEndian.Uint32(buf[8:12]),
+		Sealed: binary.LittleEndian.Uint16(buf[6:8])&flagSealed != 0,
 	}
 	h.Index = SegmentIndex{
 		MinECID:  binary.LittleEndian.Uint32(buf[12:16]),
@@ -139,75 +129,27 @@ func decodeHeader(buf []byte) (segmentHeader, error) {
 	return h, nil
 }
 
-// encodeRowBlockInto frames a batch of tuples as a row (version 1)
-// block into dst's spare capacity: an 8-byte header (count, payload
-// CRC) followed by the tuples' 28-byte encodings. Passing a retained
-// buffer's [:0] reslice makes the write path allocation-free once warm.
-func encodeRowBlockInto(dst []byte, tuples []collect.TraceTuple) []byte {
-	need := blockHeaderSize + len(tuples)*collect.TupleSize
-	if cap(dst) < need {
-		dst = make([]byte, need)
-	}
-	buf := dst[:need]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(tuples)))
-	payload := buf[blockHeaderSize:]
-	for i := range tuples {
-		tuples[i].EncodeTo(payload[i*collect.TupleSize:])
-	}
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	return buf
-}
-
-// encodeBlock is encodeRowBlockInto with a fresh buffer (tests, fuzz
-// seeds).
-func encodeBlock(tuples []collect.TraceTuple) []byte {
-	return encodeRowBlockInto(nil, tuples)
-}
-
 // decodeNextBlock frames and fully validates the block at the start of
-// rest using the segment version's codec, decoding it into dec's
-// reused batch. The batch aliases dec's scratch — consume it before the
-// next call. ok=false is the torn-tail signature: a partial header,
-// short payload, CRC mismatch, or invalid count.
-func decodeNextBlock(version uint16, rest []byte, dec *blockDecoder) (batch []collect.TraceTuple, size int64, ok bool) {
-	if version == segmentVersionCol {
-		f, ok := frameColumnarBlock(rest)
-		if !ok {
-			return nil, 0, false
-		}
-		batch, err := dec.decodeColumnar(&f)
-		if err != nil {
-			return nil, 0, false
-		}
-		return batch, f.size, true
-	}
-	if len(rest) < blockHeaderSize {
+// rest, decoding it into dec's reused batch. The batch aliases dec's
+// scratch — consume it before the next call. ok=false is the torn-tail
+// signature: a partial header, short payload, CRC mismatch, or invalid
+// count.
+func decodeNextBlock(rest []byte, dec *blockDecoder) (batch []collect.TraceTuple, size int64, ok bool) {
+	f, ok := frameColumnarBlock(rest)
+	if !ok {
 		return nil, 0, false
 	}
-	count := binary.LittleEndian.Uint32(rest[0:4])
-	if count == 0 || count > MaxBlockTuples ||
-		int64(count) > (int64(len(rest))-blockHeaderSize)/collect.TupleSize {
-		return nil, 0, false
-	}
-	payload := rest[blockHeaderSize : blockHeaderSize+int(count)*collect.TupleSize]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[4:8]) {
-		return nil, 0, false
-	}
-	tuples, err := collect.DecodeAppend(dec.batch[:0], payload)
+	batch, err := dec.decodeColumnar(&f)
 	if err != nil {
-		// Unreachable for a CRC-valid whole-tuple payload; treat it as
-		// a torn tail rather than failing the scan.
 		return nil, 0, false
 	}
-	dec.batch = tuples
-	return tuples, blockHeaderSize + int64(count)*collect.TupleSize, true
+	return batch, f.size, true
 }
 
 // scanResult is what scanSegment recovered from a segment's bytes.
 type scanResult struct {
 	Header segmentHeader
 	Index  SegmentIndex // recomputed from the blocks actually read
-	Tuples []collect.TraceTuple
 	// ValidBytes is the offset just past the last intact block: the
 	// truncation point for a crash-safe reopen.
 	ValidBytes int64
@@ -217,11 +159,12 @@ type scanResult struct {
 	Torn bool
 }
 
-// scanSegment decodes a whole segment image: the header, then every
-// intact block in order. It never fails on a damaged tail — it stops
-// there and reports how much was valid — but it does fail on a
-// missing/corrupt header, which no crash of an append-only writer can
-// produce (headers are written before the first block).
+// scanSegment validates a whole segment image: the header, then every
+// intact block in order, folding each decoded batch into the recovered
+// index without retaining the tuples. It never fails on a damaged tail
+// — it stops there and reports how much was valid — but it does fail
+// on a missing/corrupt header, which no crash of an append-only writer
+// can produce (headers are written before the first block).
 func scanSegment(buf []byte) (scanResult, error) {
 	h, err := decodeHeader(buf)
 	if err != nil {
@@ -235,7 +178,7 @@ func scanSegment(buf []byte) (scanResult, error) {
 		if len(rest) == 0 {
 			return res, nil
 		}
-		batch, size, ok := decodeNextBlock(h.Version, rest, &dec)
+		batch, size, ok := decodeNextBlock(rest, &dec)
 		if !ok {
 			res.Torn = true
 			return res, nil
@@ -243,7 +186,6 @@ func scanSegment(buf []byte) (scanResult, error) {
 		for _, t := range batch {
 			res.Index.add(t)
 		}
-		res.Tuples = append(res.Tuples, batch...)
 		res.Index.Blocks++
 		off += size
 		res.ValidBytes = off

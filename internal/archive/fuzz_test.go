@@ -2,6 +2,7 @@ package archive
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -9,58 +10,87 @@ import (
 	"eventspace/internal/paths"
 )
 
+// v1Segment builds an unsealed segment image as the retired version-1
+// row codec wrote it: the 64-byte header with version 1, then one row
+// block (count, CRC32(payload), count × 28-byte tuples). Opening such a
+// segment must fail — the codec is no longer read.
+func v1Segment(id uint32, tuples []collect.TraceTuple) []byte {
+	buf := encodeHeader(segmentHeader{ID: id})
+	binary.LittleEndian.PutUint16(buf[4:6], 1)
+	binary.LittleEndian.PutUint32(buf[60:64], crc32.ChecksumIEEE(buf[:60]))
+	payload := make([]byte, len(tuples)*collect.TupleSize)
+	for i := range tuples {
+		tuples[i].EncodeTo(payload[i*collect.TupleSize:])
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tuples)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
 // FuzzSegmentDecode fuzzes the segment parser the reader and the
-// crash-safe reopen both rely on: arbitrary bytes must never panic, and
-// the recovered prefix must stay internally consistent (ValidBytes
-// inside the buffer, index matching the tuples actually decoded).
+// crash-safe reopen both rely on: arbitrary bytes must never panic, a
+// header of any version but 2 must be rejected, and the recovered
+// prefix must stay internally consistent (ValidBytes inside the buffer,
+// index matching what the reader's block walk streams from the same
+// bytes).
 func FuzzSegmentDecode(f *testing.F) {
-	// Seed: an empty sealed segment, one with two blocks, and torn
-	// variants of it.
+	// Seed: an empty sealed segment, one with two blocks, torn variants
+	// of it, and a retired version-1 segment.
 	empty := encodeHeader(segmentHeader{ID: 1, Sealed: true})
 	f.Add(empty)
+	var enc columnarEncoder
 	var whole []byte
 	whole = append(whole, encodeHeader(segmentHeader{ID: 2})...)
-	whole = append(whole, encodeBlock([]collect.TraceTuple{
+	whole = append(whole, enc.encodeBlock([]collect.TraceTuple{
 		{ECID: 1, Seq: 0, Start: 10, End: 20},
 		{ECID: 2, Seq: 1, Start: 30, End: 40},
 	})...)
-	whole = append(whole, encodeBlock([]collect.TraceTuple{
+	whole = append(whole, enc.encodeBlock([]collect.TraceTuple{
 		{ECID: 3, Seq: 2, Start: 50, End: 60},
 	})...)
 	f.Add(whole)
-	f.Add(whole[:len(whole)-7])          // torn payload
+	f.Add(whole[:len(whole)-7])          // torn column payload
 	f.Add(whole[:segmentHeaderSize+3])   // torn block header
 	f.Add(whole[:segmentHeaderSize-10])  // short header
 	f.Add(append([]byte(nil), whole...)) // mutated below by the engine
-	// The same shapes under the columnar codec.
-	var enc columnarEncoder
-	var colSeg []byte
-	colSeg = append(colSeg, encodeHeader(segmentHeader{ID: 3, Version: segmentVersionCol})...)
-	colSeg = append(colSeg, enc.encodeBlock([]collect.TraceTuple{
+	f.Add(v1Segment(3, []collect.TraceTuple{
 		{ECID: 1, Seq: 0, Start: 10, End: 20},
 		{ECID: 2, Seq: 1, Start: 30, End: 40},
-	})...)
-	colSeg = append(colSeg, enc.encodeBlock([]collect.TraceTuple{
-		{ECID: 3, Seq: 2, Start: 50, End: 60},
-	})...)
-	f.Add(colSeg)
-	f.Add(colSeg[:len(colSeg)-5])              // torn column payload
-	f.Add(colSeg[:segmentHeaderSize+9])        // torn block header/directory
-	f.Add(append([]byte(nil), colSeg...))      // mutated below by the engine
+	}))
+	f.Add(whole[:len(whole)-5])                                  // torn column payload
+	f.Add(whole[:segmentHeaderSize+9])                           // torn block header/directory
+	f.Add(whole[:segmentHeaderSize+v2BlockHeaderSize+v2DirSize]) // directory without payloads
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := scanSegment(data)
+		if len(data) >= segmentHeaderSize && binary.LittleEndian.Uint16(data[4:6]) != segmentVersion && err == nil {
+			t.Fatalf("segment version %d accepted", binary.LittleEndian.Uint16(data[4:6]))
+		}
 		if err != nil {
-			return // corrupt header: rejected outright
+			return // corrupt or unsupported header: rejected outright
 		}
 		if res.ValidBytes < segmentHeaderSize || res.ValidBytes > int64(len(data)) {
 			t.Fatalf("ValidBytes %d outside [%d, %d]", res.ValidBytes, segmentHeaderSize, len(data))
 		}
-		if res.Index.Tuples != uint64(len(res.Tuples)) {
-			t.Fatalf("index counts %d tuples, decoded %d", res.Index.Tuples, len(res.Tuples))
-		}
 		if !res.Torn && res.ValidBytes != int64(len(data)) {
 			t.Fatalf("not torn but ValidBytes %d < %d", res.ValidBytes, len(data))
+		}
+		// The recovered index must be exactly what the reader's block
+		// walk streams from the same bytes: every tuple, its ECID and
+		// stamp bounds, and the block count.
+		var streamed SegmentIndex
+		var stats ScanStats
+		var dec blockDecoder
+		scanBlocks(data, segmentHeaderSize, &Query{}, &dec, &stats, func(tu collect.TraceTuple) bool {
+			streamed.add(tu)
+			return true
+		})
+		streamed.Blocks = uint32(stats.BlocksScanned)
+		if streamed != res.Index {
+			t.Fatalf("index %+v, reader walk streamed %+v", res.Index, streamed)
+		}
+		if torn := stats.TornSegments != 0; torn != res.Torn {
+			t.Fatalf("scan torn=%v, reader walk torn=%v", res.Torn, torn)
 		}
 		// The recovered prefix must itself rescan identically — the
 		// invariant behind truncate-and-continue reopens.

@@ -69,7 +69,6 @@ type SegmentInfo struct {
 	ID        uint32
 	Path      string
 	Bytes     int64
-	Format    uint16 // block codec: FormatRow or FormatColumnar
 	Sealed    bool
 	Torn      bool  // the segment carries a damaged tail (ignored by reads)
 	TornBytes int64 // bytes in the damaged tail beyond the last intact block
@@ -140,7 +139,7 @@ func OpenReaderMetrics(dir string, reg *metrics.Registry) (*Reader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("archive: segment %s: %v", s.path, err)
 		}
-		info := SegmentInfo{ID: hdr.ID, Path: s.path, Bytes: s.size, Format: hdr.Version, Sealed: hdr.Sealed, Index: hdr.Index}
+		info := SegmentInfo{ID: hdr.ID, Path: s.path, Bytes: s.size, Sealed: hdr.Sealed, Index: hdr.Index}
 		if !hdr.Sealed {
 			// No trustworthy index: recover it from the blocks.
 			res, err := scanSegment(buf)
@@ -199,9 +198,9 @@ func (r *Reader) Tuples() uint64 {
 // end a segment's scan without failing the query.
 //
 // Segments are walked block by block into one reused decode batch —
-// never materialized whole — and columnar blocks whose ECID/op
-// dictionaries cannot intersect q are skipped after a dictionary-only
-// CRC check, without decoding any column.
+// never materialized whole — and blocks whose ECID/op dictionaries
+// cannot intersect q are skipped after a dictionary-only CRC check,
+// without decoding any column.
 func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
 	stats := ScanStats{Segments: len(r.segs)}
 	start := hrtime.Now()
@@ -222,12 +221,11 @@ func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, err
 		}
 		bytes += len(buf)
 		stats.BytesScanned += uint64(len(buf))
-		h, err := decodeHeader(buf)
-		if err != nil {
+		if _, err := decodeHeader(buf); err != nil {
 			return stats, fmt.Errorf("archive: segment %s: %v", s.Path, err)
 		}
 		stats.SegmentsScanned++
-		if scanBlocks(buf, segmentHeaderSize, h.Version, &q, &dec, &stats, fn) {
+		if scanBlocks(buf, segmentHeaderSize, &q, &dec, &stats, fn) {
 			return stats, nil
 		}
 	}
@@ -236,43 +234,30 @@ func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, err
 
 // scanBlocks walks one segment image block by block from byte offset
 // off (segmentHeaderSize for a whole-segment walk; past it when a
-// cursor scan already skipped a prefix), skipping columnar blocks the
-// query cannot match, and streams decoded tuples through fn. It reports
+// cursor scan already skipped a prefix), skipping blocks the query
+// cannot match, and streams decoded tuples through fn. It reports
 // whether fn stopped the scan. A torn tail ends the walk and is
 // counted, matching the recovery semantics of scanSegment.
-func scanBlocks(buf []byte, off int64, version uint16, q *Query, dec *blockDecoder, stats *ScanStats, fn func(collect.TraceTuple) bool) (stopped bool) {
+func scanBlocks(buf []byte, off int64, q *Query, dec *blockDecoder, stats *ScanStats, fn func(collect.TraceTuple) bool) (stopped bool) {
 	for {
 		rest := buf[off:]
 		if len(rest) == 0 {
 			return false
 		}
-		var batch []collect.TraceTuple
-		if version == segmentVersionCol {
-			f, ok := frameColumnarBlock(rest)
-			if !ok {
-				stats.TornSegments++
-				return false
-			}
-			if dec.skipColumnar(&f, q) {
-				stats.BlocksSkipped++
-				off += f.size
-				continue
-			}
-			b, err := dec.decodeColumnar(&f)
-			if err != nil {
-				stats.TornSegments++
-				return false
-			}
-			batch = b
-			off += f.size
-		} else {
-			b, size, ok := decodeNextBlock(version, rest, dec)
-			if !ok {
-				stats.TornSegments++
-				return false
-			}
-			batch = b
-			off += size
+		f, ok := frameColumnarBlock(rest)
+		if !ok {
+			stats.TornSegments++
+			return false
+		}
+		off += f.size
+		if dec.skipColumnar(&f, q) {
+			stats.BlocksSkipped++
+			continue
+		}
+		batch, err := dec.decodeColumnar(&f)
+		if err != nil {
+			stats.TornSegments++
+			return false
 		}
 		stats.BlocksScanned++
 		stats.TuplesScanned += uint64(len(batch))

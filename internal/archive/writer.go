@@ -62,19 +62,17 @@ type WriterStats struct {
 // order. A Writer is the sink end of the archive: wire it to a puller
 // with escope.ArchiveSink, or call Append from a monitor tap.
 type Writer struct {
-	opts    Options
-	version uint16 // block codec for segments this writer creates
+	opts Options
 
 	mu       sync.Mutex
 	f        *os.File
 	active   writerSegment
 	index    SegmentIndex
 	pending  []collect.TraceTuple
-	enc      columnarEncoder       // reused columnar block scratch
-	rowBuf   []byte                // reused row block scratch
-	rawBatch []collect.TraceTuple  // reused AppendRaw decode batch
-	sealed   []writerSegment       // older segments, oldest first
-	total    int64                 // bytes on disk across sealed + active
+	enc      columnarEncoder      // reused block scratch
+	rawBatch []collect.TraceTuple // reused AppendRaw decode batch
+	sealed   []writerSegment      // older segments, oldest first
+	total    int64                // bytes on disk across sealed + active
 	closed   bool
 	stats    WriterStats
 	writeErr error // first unrecoverable file-system error, sticky
@@ -93,7 +91,10 @@ type Writer struct {
 // Create opens (or crash-safely reopens) the archive directory and
 // returns a Writer appending to it. An existing unsealed newest segment
 // is continued after its torn tail, if any, is truncated away; at most
-// the final partial block of the previous run is lost.
+// the final partial block of the previous run is lost. A segment whose
+// full-length header does not decode (corrupt, or another codec
+// version) fails Create with an error naming the file, which is left
+// untouched.
 func Create(opts Options) (*Writer, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -101,7 +102,7 @@ func Create(opts Options) (*Writer, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %v", err)
 	}
-	w := &Writer{opts: opts, version: opts.format()}
+	w := &Writer{opts: opts}
 	if reg := opts.Metrics; reg != nil {
 		label := filepath.Base(opts.Dir)
 		w.opWrite = reg.Op(metrics.KindArchive, "archive("+label+")")
@@ -142,8 +143,9 @@ func listSegments(dir string) ([]writerSegment, error) {
 
 // segmentTuples returns the tuple count a segment file holds: the
 // header index for sealed segments, a block scan for unsealed ones. A
-// file without a valid header counts zero, matching the reader, which
-// skips such files.
+// file shorter than a header counts zero, matching the reader, which
+// skips such files; a full-length header that does not decode is an
+// error, as it is for the reader.
 func segmentTuples(path string) (uint64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -154,21 +156,21 @@ func segmentTuples(path string) (uint64, error) {
 	}
 	hdr, err := decodeHeader(buf)
 	if err != nil {
-		return 0, nil
+		return 0, fmt.Errorf("archive: segment %s: %v", path, err)
 	}
 	if hdr.Sealed {
 		return hdr.Index.Tuples, nil
 	}
 	res, err := scanSegment(buf)
 	if err != nil {
-		return 0, nil
+		return 0, fmt.Errorf("archive: segment %s: %v", path, err)
 	}
 	return res.Index.Tuples, nil
 }
 
 // reopen restores the writer's state from the directory: older segments
 // count toward retention, and the newest is validated, truncated past
-// its last intact block, and either continued (unsealed) or sealed off.
+// its last intact block, and continued if it is still unsealed.
 func (w *Writer) reopen() error {
 	segs, err := listSegments(w.opts.Dir)
 	if err != nil {
@@ -189,84 +191,65 @@ func (w *Writer) reopen() error {
 		}
 		w.baseTuples += n
 	}
-	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		buf, err := os.ReadFile(last.path)
-		if err != nil {
+	if len(segs) == 0 {
+		return w.newSegment(nextID)
+	}
+	last := segs[len(segs)-1]
+	if last.size < segmentHeaderSize {
+		// The newest file never got its whole header (crash between
+		// create and the first write, see CrashRotate) — the only header
+		// damage the crash model produces. Drop it and start fresh under
+		// the same id.
+		w.total -= last.size
+		if err := os.Remove(last.path); err != nil {
 			return fmt.Errorf("archive: %v", err)
 		}
-		res, err := scanSegment(buf)
-		switch {
-		case err != nil:
-			// The newest file never got a valid header (crash between
-			// create and the first write). Drop it and start fresh
-			// under the same id.
-			w.total -= last.size
-			if err := os.Remove(last.path); err != nil {
-				return fmt.Errorf("archive: %v", err)
-			}
-			w.stats.TornTruncations++
-			w.cTrunc.Inc()
-			segs = segs[:len(segs)-1]
-			nextID = last.id
-		case res.Torn:
-			if err := os.Truncate(last.path, res.ValidBytes); err != nil {
-				return fmt.Errorf("archive: %v", err)
-			}
-			w.total -= last.size - res.ValidBytes
-			last.size = res.ValidBytes
-			segs[len(segs)-1] = last
-			w.stats.TornTruncations++
-			w.cTrunc.Inc()
-			fallthrough
-		default:
-			w.baseTuples += res.Index.Tuples
-			if !res.Header.Sealed && res.Header.Version == w.version {
-				// Continue appending where the previous run stopped.
-				f, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
-				if err != nil {
-					return fmt.Errorf("archive: %v", err)
-				}
-				if _, err := f.Seek(last.size, 0); err != nil {
-					f.Close()
-					return fmt.Errorf("archive: %v", err)
-				}
-				w.f = f
-				w.active = last
-				w.index = res.Index
-				w.stats.TuplesRecovered = res.Index.Tuples
-				w.sealed = segs[:len(segs)-1]
-				w.stats.Segments = len(segs)
-				w.stats.ActiveSegment = last.id
-				w.stats.TotalBytes = w.total
-				return nil
-			}
-			if !res.Header.Sealed {
-				// The previous run wrote this segment in another block
-				// format. Blocks within a segment must share one codec,
-				// so seal it with its recovered index and start a fresh
-				// segment in the writer's own format.
-				hdr := encodeHeader(segmentHeader{
-					ID: res.Header.ID, Version: res.Header.Version,
-					Sealed: true, Index: res.Index,
-				})
-				f, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
-				if err != nil {
-					return fmt.Errorf("archive: %v", err)
-				}
-				if _, err := f.WriteAt(hdr, 0); err != nil {
-					f.Close()
-					return fmt.Errorf("archive: %v", err)
-				}
-				if err := f.Close(); err != nil {
-					return fmt.Errorf("archive: %v", err)
-				}
-				w.stats.TuplesRecovered = res.Index.Tuples
-			}
-		}
+		w.stats.TornTruncations++
+		w.cTrunc.Inc()
+		w.sealed = segs[:len(segs)-1]
+		return w.newSegment(last.id)
 	}
-	w.sealed = segs
-	return w.newSegment(nextID)
+	buf, err := os.ReadFile(last.path)
+	if err != nil {
+		return fmt.Errorf("archive: %v", err)
+	}
+	res, err := scanSegment(buf)
+	if err != nil {
+		return fmt.Errorf("archive: segment %s: %v", last.path, err)
+	}
+	if res.Torn {
+		if err := os.Truncate(last.path, res.ValidBytes); err != nil {
+			return fmt.Errorf("archive: %v", err)
+		}
+		w.total -= last.size - res.ValidBytes
+		last.size = res.ValidBytes
+		segs[len(segs)-1] = last
+		w.stats.TornTruncations++
+		w.cTrunc.Inc()
+	}
+	w.baseTuples += res.Index.Tuples
+	if res.Header.Sealed {
+		w.sealed = segs
+		return w.newSegment(nextID)
+	}
+	// Continue appending where the previous run stopped.
+	f, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("archive: %v", err)
+	}
+	if _, err := f.Seek(last.size, 0); err != nil {
+		f.Close()
+		return fmt.Errorf("archive: %v", err)
+	}
+	w.f = f
+	w.active = last
+	w.index = res.Index
+	w.stats.TuplesRecovered = res.Index.Tuples
+	w.sealed = segs[:len(segs)-1]
+	w.stats.Segments = len(segs)
+	w.stats.ActiveSegment = last.id
+	w.stats.TotalBytes = w.total
+	return nil
 }
 
 // newSegment creates and activates segment id with a provisional
@@ -277,7 +260,7 @@ func (w *Writer) newSegment(id uint32) error {
 	if err != nil {
 		return fmt.Errorf("archive: %v", err)
 	}
-	hdr := encodeHeader(segmentHeader{ID: id, Version: w.version})
+	hdr := encodeHeader(segmentHeader{ID: id})
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("archive: %v", err)
@@ -358,15 +341,9 @@ func (w *Writer) flushLocked(n int) error {
 		return nil
 	}
 	batch := w.pending[:n]
-	// Both codecs encode into writer-owned scratch reused across
-	// blocks: the steady-state flush path allocates nothing.
-	var buf []byte
-	if w.version == segmentVersionCol {
-		buf = w.enc.encodeBlock(batch)
-	} else {
-		buf = encodeRowBlockInto(w.rowBuf[:0], batch)
-		w.rowBuf = buf
-	}
+	// The encoder's scratch is reused across blocks: the steady-state
+	// flush path allocates nothing.
+	buf := w.enc.encodeBlock(batch)
 	if frac, fire := w.opts.CrashPoints.hit(CrashBlockFlush); fire {
 		// Persist only a torn prefix of the block and die: the index,
 		// stats and pending buffer are untouched, exactly as a power cut
@@ -413,7 +390,7 @@ func (w *Writer) sealLocked() error {
 		w.writeErr = ErrInjectedCrash
 		return w.writeErr
 	}
-	hdr := encodeHeader(segmentHeader{ID: w.active.id, Version: w.version, Sealed: true, Index: w.index})
+	hdr := encodeHeader(segmentHeader{ID: w.active.id, Sealed: true, Index: w.index})
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
 		w.writeErr = fmt.Errorf("archive: sealing segment %d: %v", w.active.id, err)
 		return w.writeErr

@@ -29,7 +29,7 @@ func mustParseBench(tb testing.TB, src string) *query.Stmt {
 func writeQueryBenchArchive(tb testing.TB, dir string, total int) *archive.Reader {
 	tb.Helper()
 	w, err := archive.Create(archive.Options{
-		Dir: dir, Format: archive.FormatColumnar, SegmentBytes: 64 << 10,
+		Dir: dir, SegmentBytes: 64 << 10,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -34,9 +34,9 @@ func recoveryInfos() []archive.CollectorInfo {
 // checkpointer (cadence every 512 data tuples) and abandons the archive
 // the way a crash does: no final checkpoint, so recovery replays a real
 // suffix, not an empty one.
-func writeRecoveryArchive(tb testing.TB, dir string, format, rounds int) {
+func writeRecoveryArchive(tb testing.TB, dir string, rounds int) {
 	tb.Helper()
-	w, err := archive.Create(archive.Options{Dir: dir, Format: format, SegmentBytes: 1 << 14})
+	w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: 1 << 14})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func writeRecoveryArchive(tb testing.TB, dir string, format, rounds int) {
 	}
 }
 
-// recoveryReport is one (format, size) cell of BENCH_recovery.json.
+// recoveryReport is one archive-size row of BENCH_recovery.json.
 type recoveryReport struct {
 	Rounds            int     `json:"rounds"`
 	ArchiveBytes      int64   `json:"archive_bytes"`
@@ -100,71 +100,68 @@ type recoveryReport struct {
 // records the table as JSON when RECOVERY_BENCH_OUT names a file (the
 // Makefile bench-recovery target). The acceptance floor rides along
 // unconditionally: at the largest archive size the checkpointed path
-// must replay at least 5x fewer bytes than full replay, on both segment
-// formats — the bound that makes recovery time a function of the
+// must replay at least 5x fewer bytes than full replay — the bound that makes recovery time a function of the
 // checkpoint cadence, not of archive size.
 func TestRecordRecoveryBench(t *testing.T) {
 	sizes := []int{200, 800, 3200}
-	reports := map[string][]*recoveryReport{}
+	var reports []*recoveryReport
 
-	for _, bf := range benchFormats {
-		for _, rounds := range sizes {
-			dir := t.TempDir()
-			writeRecoveryArchive(t, dir, bf.format, rounds)
+	for _, rounds := range sizes {
+		dir := t.TempDir()
+		writeRecoveryArchive(t, dir, rounds)
 
-			fStart := time.Now()
-			full, err := reconfig.RebuildFrontEnd(dir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fullDur := time.Since(fStart)
+		fStart := time.Now()
+		full, err := reconfig.RebuildFrontEnd(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullDur := time.Since(fStart)
 
-			cStart := time.Now()
-			fast, err := reconfig.RecoverFrontEnd(dir, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fastDur := time.Since(cStart)
+		cStart := time.Now()
+		fast, err := reconfig.RecoverFrontEnd(dir, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastDur := time.Since(cStart)
 
-			if !fast.Checkpointed {
-				t.Fatalf("%s/%d: recovery did not take the checkpoint fast path: %+v", bf.name, rounds, fast)
-			}
-			if fast.RoundsRecovered != full.RoundsRecovered {
-				t.Fatalf("%s/%d: fast path recovered %d rounds, full %d", bf.name, rounds, fast.RoundsRecovered, full.RoundsRecovered)
-			}
-			if fast.BytesReplayed == 0 || full.BytesReplayed == 0 {
-				t.Fatalf("%s/%d: degenerate replay accounting (fast %d, full %d)", bf.name, rounds, fast.BytesReplayed, full.BytesReplayed)
-			}
-			factor := float64(full.BytesReplayed) / float64(fast.BytesReplayed)
+		if !fast.Checkpointed {
+			t.Fatalf("%d: recovery did not take the checkpoint fast path: %+v", rounds, fast)
+		}
+		if fast.RoundsRecovered != full.RoundsRecovered {
+			t.Fatalf("%d: fast path recovered %d rounds, full %d", rounds, fast.RoundsRecovered, full.RoundsRecovered)
+		}
+		if fast.BytesReplayed == 0 || full.BytesReplayed == 0 {
+			t.Fatalf("%d: degenerate replay accounting (fast %d, full %d)", rounds, fast.BytesReplayed, full.BytesReplayed)
+		}
+		factor := float64(full.BytesReplayed) / float64(fast.BytesReplayed)
 
-			var archiveBytes int64
-			r, err := archive.OpenReader(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range r.Segments() {
-				archiveBytes += s.Bytes
-			}
-			r.Close()
+		var archiveBytes int64
+		r, err := archive.OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range r.Segments() {
+			archiveBytes += s.Bytes
+		}
+		r.Close()
 
-			reports[bf.name] = append(reports[bf.name], &recoveryReport{
-				Rounds:            rounds,
-				ArchiveBytes:      archiveBytes,
-				FullNS:            fullDur.Nanoseconds(),
-				FullBytes:         full.BytesReplayed,
-				FastNS:            fastDur.Nanoseconds(),
-				FastBytes:         fast.BytesReplayed,
-				TuplesSkipped:     fast.TuplesSkipped,
-				BytesSavedFactor:  factor,
-				SpeedupWallClock:  float64(fullDur.Nanoseconds()) / float64(fastDur.Nanoseconds()),
-				CheckpointSeq:     fast.CheckpointSeq,
-				CheckpointEntries: fast.ChainEntries,
-			})
+		reports = append(reports, &recoveryReport{
+			Rounds:            rounds,
+			ArchiveBytes:      archiveBytes,
+			FullNS:            fullDur.Nanoseconds(),
+			FullBytes:         full.BytesReplayed,
+			FastNS:            fastDur.Nanoseconds(),
+			FastBytes:         fast.BytesReplayed,
+			TuplesSkipped:     fast.TuplesSkipped,
+			BytesSavedFactor:  factor,
+			SpeedupWallClock:  float64(fullDur.Nanoseconds()) / float64(fastDur.Nanoseconds()),
+			CheckpointSeq:     fast.CheckpointSeq,
+			CheckpointEntries: fast.ChainEntries,
+		})
 
-			if rounds == sizes[len(sizes)-1] && factor < 5 {
-				t.Errorf("%s/%d rounds: checkpointed recovery replayed %d bytes vs full %d — %.1fx, want >= 5x",
-					bf.name, rounds, fast.BytesReplayed, full.BytesReplayed, factor)
-			}
+		if rounds == sizes[len(sizes)-1] && factor < 5 {
+			t.Errorf("%d rounds: checkpointed recovery replayed %d bytes vs full %d — %.1fx, want >= 5x",
+				rounds, fast.BytesReplayed, full.BytesReplayed, factor)
 		}
 	}
 
@@ -175,7 +172,7 @@ func TestRecordRecoveryBench(t *testing.T) {
 	report := map[string]any{
 		"checkpoint_every_tuples": 512,
 		"chain_keep":              3,
-		"formats":                 reports,
+		"sizes":                   reports,
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -184,6 +181,6 @@ func TestRecordRecoveryBench(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	last := reports["columnar"][len(reports["columnar"])-1]
+	last := reports[len(reports)-1]
 	t.Logf("recovery bench recorded to %s (largest archive: %.1fx fewer bytes replayed)", out, last.BytesSavedFactor)
 }

@@ -35,7 +35,7 @@ func readCorpus(t testing.TB) []string {
 // renderGolden evaluates every corpus statement against the fixture
 // archive and renders the pinned output.
 func renderGolden(t *testing.T, srcs []string) string {
-	r := writeFixtureArchive(t, t.TempDir(), 0, 512)
+	r := writeFixtureArchive(t, t.TempDir(), 512)
 	var b strings.Builder
 	for _, src := range srcs {
 		mustFail := strings.HasPrefix(src, "!")

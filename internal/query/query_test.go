@@ -35,9 +35,9 @@ func testTuples() []collect.TraceTuple {
 
 // writeFixtureArchive writes the fixture stream into a fresh archive
 // and opens a reader over it.
-func writeFixtureArchive(t *testing.T, dir string, format int, segmentBytes int64) *archive.Reader {
+func writeFixtureArchive(t *testing.T, dir string, segmentBytes int64) *archive.Reader {
 	t.Helper()
-	w, err := archive.Create(archive.Options{Dir: dir, Format: format, SegmentBytes: segmentBytes, BlockTuples: 8})
+	w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: segmentBytes, BlockTuples: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,9 @@ func failoverStmts(t testing.TB) []*query.Stmt {
 // recorder sink chain — checkpointer in front of an optional query
 // engine in front of the writer — and leaves a pruned checkpoint chain
 // next to the sealed segments.
-func buildCheckpointedArchive(t testing.TB, dir string, format int, withEngine bool) {
+func buildCheckpointedArchive(t testing.TB, dir string, withEngine bool) {
 	t.Helper()
-	w, err := archive.Create(archive.Options{Dir: dir, Format: format, SegmentBytes: 2000, BlockTuples: 16})
+	w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: 2000, BlockTuples: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,56 +176,48 @@ func statsEqual(t *testing.T, got, want *monitor.AnalysisTree) {
 }
 
 // TestRecoverFrontEndMatchesRebuild: the checkpointed fast path must
-// hand off exactly the state full replay rebuilds, on both formats —
+// hand off exactly the state full replay rebuilds —
 // while reading only the archive suffix behind the newest checkpoint.
 func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format int
-	}{
-		{"row", archive.FormatRow},
-		{"columnar", archive.FormatColumnar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			buildCheckpointedArchive(t, dir, tc.format, false)
-			rb, err := RebuildFrontEnd(dir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc, err := RecoverFrontEnd(dir, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rc.Checkpointed || rc.CheckpointSeq == 0 || rc.Fallbacks != 0 {
-				t.Fatalf("expected clean checkpointed recovery, got %+v", rc)
-			}
-			if rc.ChainEntries != 3 {
-				t.Fatalf("chain entries %d, want pruned to 3", rc.ChainEntries)
-			}
-			if rc.TuplesSkipped == 0 {
-				t.Fatal("checkpointed recovery skipped no tuples — fast path not taken")
-			}
-			if rc.BytesReplayed >= rb.BytesReplayed {
-				t.Fatalf("checkpointed recovery replayed %d bytes, full replay %d — no saving",
-					rc.BytesReplayed, rb.BytesReplayed)
-			}
-			if !rc.Resume.ReRead {
-				t.Fatal("crash recovery handoff must re-read the retained windows")
-			}
-			if rb.Resume.ReRead {
-				t.Fatal("clean-seal failover handoff must not re-read")
-			}
-			if rc.RoundsRecovered != rb.RoundsRecovered || rc.RoundsRecovered == 0 {
-				t.Fatalf("rounds recovered %d, want %d", rc.RoundsRecovered, rb.RoundsRecovered)
-			}
-			weightedEqual(t, rc.Resume.Weighted, rb.Resume.Weighted)
-			if !reflect.DeepEqual(rc.Resume.Floors, rb.Resume.Floors) {
-				t.Fatalf("floors diverged: %v vs %v", rc.Resume.Floors, rb.Resume.Floors)
-			}
-			statsEqual(t, rc.Stats, rb.Stats)
-		})
-	}
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		buildCheckpointedArchive(t, dir, false)
+		rb, err := RebuildFrontEnd(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := RecoverFrontEnd(dir, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rc.Checkpointed || rc.CheckpointSeq == 0 || rc.Fallbacks != 0 {
+			t.Fatalf("expected clean checkpointed recovery, got %+v", rc)
+		}
+		if rc.ChainEntries != 3 {
+			t.Fatalf("chain entries %d, want pruned to 3", rc.ChainEntries)
+		}
+		if rc.TuplesSkipped == 0 {
+			t.Fatal("checkpointed recovery skipped no tuples — fast path not taken")
+		}
+		if rc.BytesReplayed >= rb.BytesReplayed {
+			t.Fatalf("checkpointed recovery replayed %d bytes, full replay %d — no saving",
+				rc.BytesReplayed, rb.BytesReplayed)
+		}
+		if !rc.Resume.ReRead {
+			t.Fatal("crash recovery handoff must re-read the retained windows")
+		}
+		if rb.Resume.ReRead {
+			t.Fatal("clean-seal failover handoff must not re-read")
+		}
+		if rc.RoundsRecovered != rb.RoundsRecovered || rc.RoundsRecovered == 0 {
+			t.Fatalf("rounds recovered %d, want %d", rc.RoundsRecovered, rb.RoundsRecovered)
+		}
+		weightedEqual(t, rc.Resume.Weighted, rb.Resume.Weighted)
+		if !reflect.DeepEqual(rc.Resume.Floors, rb.Resume.Floors) {
+			t.Fatalf("floors diverged: %v vs %v", rc.Resume.Floors, rb.Resume.Floors)
+		}
+		statsEqual(t, rc.Stats, rb.Stats)
+	})
 }
 
 // TestRecoverFrontEndEngineResumesMidStreak: with standing statements,
@@ -234,7 +226,7 @@ func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
 // archive produces, streaks and dedup memory included.
 func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 	dir := t.TempDir()
-	buildCheckpointedArchive(t, dir, archive.FormatColumnar, true)
+	buildCheckpointedArchive(t, dir, true)
 	stmts := failoverStmts(t)
 	rc, err := RecoverFrontEnd(dir, nil, stmts)
 	if err != nil {
@@ -278,7 +270,7 @@ func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 // replay. Both rungs reproduce the rebuild state exactly.
 func TestRecoverFrontEndFallbackLadder(t *testing.T) {
 	dir := t.TempDir()
-	buildCheckpointedArchive(t, dir, archive.FormatRow, false)
+	buildCheckpointedArchive(t, dir, false)
 	rb, err := RebuildFrontEnd(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +397,7 @@ func TestFailoverSurfacesRepairContext(t *testing.T) {
 // rung, so it feeds both shadows and the engine from one archive scan.
 func TestRebuildFrontEndScansOnce(t *testing.T) {
 	dir := t.TempDir()
-	buildCheckpointedArchive(t, dir, archive.FormatColumnar, true)
+	buildCheckpointedArchive(t, dir, true)
 	reg := metrics.New()
 	if _, err := RebuildFrontEnd(dir, reg); err != nil {
 		t.Fatal(err)
@@ -425,7 +417,7 @@ func TestRebuildFrontEndScansOnce(t *testing.T) {
 // columnar archive (60 rounds over two 3-contributor nodes).
 func BenchmarkRebuildFrontEnd(b *testing.B) {
 	dir := b.TempDir()
-	buildCheckpointedArchive(b, dir, archive.FormatColumnar, false)
+	buildCheckpointedArchive(b, dir, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
